@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run all stages")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count (stages are deterministic regardless)")
 
     p = sub.add_parser("report", help="summarize a finished run")
     add_common(p)

@@ -1,6 +1,7 @@
 """Country registry with alias-based name normalization.
 
-The registry maps ISO-3166 alpha-3 codes to display names and continents.
+The registry maps ISO-3166 alpha-3 codes to display names and continents,
+and alpha-2 codes (what live geocoders answer with) to alpha-3.
 Source databases spell country names inconsistently ("USA", "United States
 of America (the)", "Viet Nam"), so lookups go through an alias table that
 is case- and punctuation-insensitive. Unknown names are reported as
@@ -48,9 +49,11 @@ def _default_data_path(filename: str) -> Path:
 class CountryRegistry:
     """Immutable lookup from country names/aliases to CountryCode."""
 
-    def __init__(self, countries: dict[str, CountryCode], aliases: dict[str, str]):
+    def __init__(self, countries: dict[str, CountryCode], aliases: dict[str, str],
+                 iso2: dict[str, str]):
         self._countries = dict(countries)
         self._aliases = dict(aliases)  # normalized alias -> iso3
+        self._iso2 = dict(iso2)  # upper-case alpha-2 -> iso3
 
     @classmethod
     def load(cls, registry_path: Path | None = None,
@@ -59,9 +62,11 @@ class CountryRegistry:
         alias_path = alias_path or _default_data_path("country_aliases.tsv")
 
         countries: dict[str, CountryCode] = {}
+        iso2_to_iso3: dict[str, str] = {}
         for line in _read_tsv(registry_path):
-            iso3, display_name, continent = line
+            iso3, display_name, continent, iso2 = line
             countries[iso3] = CountryCode(iso3, display_name, Continent(continent))
+            iso2_to_iso3[iso2] = iso3
 
         aliases: dict[str, str] = {}
         # Canonical display names always resolve to themselves.
@@ -72,13 +77,18 @@ class CountryRegistry:
             if iso3 not in countries:
                 raise ValueError(f"alias {alias!r} points to unknown code {iso3!r}")
             aliases[normalize_name(alias)] = iso3
-        return cls(countries, aliases)
+        return cls(countries, aliases, iso2_to_iso3)
 
     def get(self, iso3: str) -> CountryCode:
         return self._countries[iso3]
 
     def get_optional(self, iso3: str) -> CountryCode | None:
         return self._countries.get(iso3)
+
+    def from_iso2(self, iso2: str) -> CountryCode | None:
+        """The country with this alpha-2 code (any case), or None."""
+        iso3 = self._iso2.get(iso2.upper())
+        return self._countries[iso3] if iso3 else None
 
     def normalize_country(self, name_raw: str) -> CountryCode | None:
         """Resolve a raw country name through the alias table, or None."""

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
-from .countries import CountryCode, CountryRegistry, normalize_name
+from .countries import (CountryCode, CountryRegistry, default_registry,
+                        normalize_name)
 from .places import PlaceMention, ResolverStage
 
 log = logging.getLogger(__name__)
@@ -112,67 +113,56 @@ class LiveGeocoderClient:
     """HTTP client for a Nominatim-style JSON endpoint.
 
     Enforces a bounded number of in-flight requests and a global minimum
-    inter-request delay.
+    delay between request starts. Alpha-2 country codes in the answers map
+    to alpha-3 through ``registry`` (the bundled one by default).
     """
 
     def __init__(self, endpoint: str | None = None, min_delay_ms: int = 1000,
-                 max_inflight: int = 2, timeout: float = 10.0):
+                 max_inflight: int = 2, timeout: float = 10.0,
+                 registry: CountryRegistry | None = None):
         import os
         self.endpoint = (endpoint or os.environ.get(DEFAULT_ENDPOINT_ENV)
                          or DEFAULT_ENDPOINT)
         self.min_delay = min_delay_ms / 1000.0
         self.timeout = timeout
+        self.registry = registry
         self._gate = threading.Semaphore(max_inflight)
         self._lock = threading.Lock()
         self._last_request = 0.0
 
     def geocode(self, query: str) -> list[GeocoderResult]:
-        import requests
+        """One request; an HTTP error status or a network failure raises."""
+        from urllib.parse import urlencode
+        from urllib.request import Request, urlopen
 
+        params = urlencode({"q": query, "format": "jsonv2", "addressdetails": 1})
+        sep = "&" if "?" in self.endpoint else "?"
+        request = Request(f"{self.endpoint}{sep}{params}",
+                          headers={"User-Agent": "coverage-auditor/0.1"})
         with self._gate:
             with self._lock:
                 wait = self._last_request + self.min_delay - time.monotonic()
                 if wait > 0:
                     time.sleep(wait)
                 self._last_request = time.monotonic()
-            resp = requests.get(
-                self.endpoint,
-                params={"q": query, "format": "jsonv2", "addressdetails": 1},
-                headers={"User-Agent": "coverage-auditor/0.1"},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            results = []
-            for item in resp.json():
-                iso3 = _country_code_from_payload(item)
-                results.append(GeocoderResult(
-                    display_name=item.get("display_name", ""),
-                    iso3=iso3,
-                    importance=float(item.get("importance", 0.0)),
-                ))
-            return results
+            with urlopen(request, timeout=self.timeout) as resp:
+                payload = json.load(resp)
+        registry = self.registry or default_registry()
+        results = []
+        for item in payload:
+            country = _country_from_payload(item, registry)
+            results.append(GeocoderResult(
+                display_name=item.get("display_name", ""),
+                iso3=country.iso3 if country else None,
+                importance=float(item.get("importance", 0.0)),
+            ))
+        return results
 
 
-def _country_code_from_payload(item: dict) -> str | None:
+def _country_from_payload(item: dict, registry: CountryRegistry) -> CountryCode | None:
     address = item.get("address") or {}
     code = address.get("country_code") or item.get("country_code")
-    if not code:
-        return None
-    return _ISO2_TO_ISO3.get(code.upper())
-
-
-# Minimal alpha-2 -> alpha-3 map for the live client; the replay client
-# carries iso3 directly.
-_ISO2_TO_ISO3 = {
-    "US": "USA", "GB": "GBR", "CA": "CAN", "JP": "JPN", "CN": "CHN",
-    "IN": "IND", "PK": "PAK", "AU": "AUS", "BR": "BRA", "MX": "MEX",
-    "FR": "FRA", "DE": "DEU", "IT": "ITA", "ES": "ESP", "NL": "NLD",
-    "SD": "SDN", "HT": "HTI", "CU": "CUB", "AO": "AGO", "IR": "IRN",
-    "NG": "NGA", "KE": "KEN", "ZA": "ZAF", "EG": "EGY", "ID": "IDN",
-    "PH": "PHL", "VN": "VNM", "TH": "THA", "BD": "BGD", "NP": "NPL",
-    "LK": "LKA", "MM": "MMR", "RU": "RUS", "TR": "TUR", "PE": "PER",
-    "CO": "COL", "AR": "ARG", "CL": "CHL", "NZ": "NZL",
-}
+    return registry.from_iso2(code) if code else None
 
 
 def remote_geocode(placename: str, client: GeocoderClient,
@@ -183,8 +173,6 @@ def remote_geocode(placename: str, client: GeocoderClient,
     Importance ties break lexicographically on display_name. Network
     failures are retried up to ``retries`` times before skipping the stage.
     """
-    from .countries import default_registry
-
     registry = registry or default_registry()
     attempt = 0
     while True:
@@ -308,6 +296,33 @@ class CascadeResolver:
         self.cache = cache or GeoCache()
         self.inferencer = inferencer or AliasScanInferencer(registry)
         self.refresh = refresh
+        self._prefetched: dict[str, CountryCode | None] = {}  # normalized -> answer
+
+    def prefetch(self, placenames: Iterable[str], workers: int) -> None:
+        """Geocode, ``workers`` at a time, the distinct names that would reach
+        the remote stage: those the cache (unless refreshing) and the kb do
+        not answer. ``resolve`` then uses these answers instead of querying
+        again; its cache writes, in its own order, are unchanged."""
+        seen: set[str] = set()
+        misses: dict[str, str] = {}  # normalized -> first raw spelling
+        for name in placenames:
+            key = normalize_name(name)
+            if key in seen or key in self._prefetched:
+                continue
+            seen.add(key)
+            if not self.refresh and self.cache.get(name) is not None:
+                continue
+            if kb_lookup(name, self.kb) is None:
+                misses[key] = name
+        if not misses:
+            return
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            answers = pool.map(
+                lambda name: remote_geocode(name, self.client, registry=self.registry),
+                misses.values())
+            self._prefetched.update(zip(misses, answers))
 
     def resolve(self, placename: str, sentence: str = "",
                 title: str = "") -> PlaceMention:
@@ -321,7 +336,11 @@ class CascadeResolver:
         country = kb_lookup(placename, self.kb)
         stage = ResolverStage.GAZETTEER
         if country is None:
-            country = remote_geocode(placename, self.client, registry=self.registry)
+            key = normalize_name(placename)
+            if key in self._prefetched:
+                country = self._prefetched[key]
+            else:
+                country = remote_geocode(placename, self.client, registry=self.registry)
             stage = ResolverStage.REMOTE_GEOCODER
         if country is None:
             country = context_infer(sentence, title, self.inferencer)

@@ -147,8 +147,17 @@ def parse_source_records(raw_file: BinaryIO, source_id: Source) -> ParseResult:
     types, landslide-only news tags) go to ``excluded``. Nothing is
     silently dropped.
     """
+    # Detach on the way out, so that closing raw_file stays the caller's job
+    # and the wrapper never closes (or leaks) it.
+    text = io.TextIOWrapper(raw_file, encoding="utf-8")
     try:
-        text = io.TextIOWrapper(raw_file, encoding="utf-8")
+        return _parse_rows(text, source_id)
+    finally:
+        text.detach()
+
+
+def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
+    try:
         reader = csv.DictReader(text)
         header = reader.fieldnames
     except (OSError, UnicodeDecodeError) as exc:

@@ -189,10 +189,11 @@ class PipelineConfig:
                 raise ConfigError(f"bad scorer {self.scorer!r}: {exc}") from exc
         raise ConfigError(f"unknown scorer {self.scorer!r}")
 
-    def make_geocoder_client(self):
+    def make_geocoder_client(self, registry: CountryRegistry | None = None):
         if self.geocoder == "live":
             return LiveGeocoderClient(min_delay_ms=self.min_delay_ms,
-                                      max_inflight=self.max_inflight)
+                                      max_inflight=self.max_inflight,
+                                      registry=registry)
         replay = self.geocoder[len("replay:"):]
         if not replay:
             return _EmptyClient()
@@ -322,7 +323,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         cache_path = cache_dir / "geocache.jsonl"
-    resolver = CascadeResolver(kb, cfg.make_geocoder_client(), registry,
+    resolver = CascadeResolver(kb, cfg.make_geocoder_client(registry), registry,
                                cache=GeoCache(cache_path),
                                refresh=cfg.refresh_cache)
 
@@ -332,6 +333,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
     candidates = [CandidateSentence.from_json_dict(d)
                   for d in read_jsonl(out_dir / "candidates.jsonl")]
 
+    spotted = []
     for cand in candidates:
         paragraph = cand.paragraph or cand.text
         mentions = find_dates(cand.text) + find_dates(cand.title)
@@ -339,6 +341,13 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
         places = extract_placenames(cand.text, spotter)
         places += [p for p in extract_placenames(cand.title, spotter)
                    if p.raw_span not in {q.raw_span for q in places}]
+        spotted.append((cand, dates, places))
+
+    # Remote lookups overlap here, up to max_inflight; everything that
+    # writes (cache, rows) stays in candidate order below.
+    resolver.prefetch((p.raw_span for _, _, places in spotted for p in places),
+                      cfg.max_inflight)
+    for cand, dates, places in spotted:
         resolved_places = [resolver.resolve(p.raw_span, cand.text, cand.title)
                            for p in places]
         expanded = expand_candidates(cand, dates, resolved_places)

@@ -1,3 +1,6 @@
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from coverage_auditor.countries import (Continent, CountryRegistry,
@@ -53,13 +56,32 @@ def test_registry_iterates_sorted_by_iso3(registry):
     assert len(registry) == len(codes)
 
 
+def test_every_registry_row_has_a_distinct_alpha2_code():
+    path = Path(str(resources.files("coverage_auditor").joinpath(
+        "data", "country_registry.tsv")))
+    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()
+            if line and not line.startswith("#")]
+    codes = [row[3] for row in rows]
+    assert all(len(row) == 4 for row in rows)
+    assert all(len(code) == 2 and code.isascii() and code.isupper() for code in codes)
+    assert len(set(codes)) == len(rows)
+
+
+def test_from_iso2_maps_alpha2_codes_in_any_case(registry):
+    assert registry.from_iso2("bo").iso3 == "BOL"
+    assert registry.from_iso2("GB").iso3 == "GBR"
+    assert registry.from_iso2("XX") is None
+    assert sum(registry.from_iso2(c) is not None
+               for c in ("AF", "BT", "ZW", "VU", "NA")) == 5
+
+
 def test_default_registry_is_cached():
     assert default_registry() is default_registry()
 
 
 def test_load_rejects_alias_to_unknown_code(tmp_path):
     reg = tmp_path / "registry.tsv"
-    reg.write_text("USA\tUnited States\tNorthAmerica\n")
+    reg.write_text("USA\tUnited States\tNorthAmerica\tUS\n")
     bad = tmp_path / "aliases.tsv"
     bad.write_text("Atlantis\tATL\n")
     with pytest.raises(ValueError):

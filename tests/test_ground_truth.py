@@ -1,5 +1,7 @@
+import gc
 import io
 import random
+import warnings
 from datetime import date, timedelta
 
 import pytest
@@ -254,3 +256,14 @@ def test_consolidate_properties(registry):
             group.sort(key=lambda e: e.start_date)
             for prev, nxt in zip(group, group[1:]):
                 assert prev.end_date < nxt.start_date
+
+
+def test_consolidate_stage_closes_its_input_files(e2e_dir, tmp_path):
+    from coverage_auditor.pipeline import PipelineConfig, stage_consolidate
+
+    cfg = PipelineConfig.from_ini(e2e_dir / "config.ini")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stage_consolidate(cfg, tmp_path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -1,0 +1,220 @@
+"""LiveGeocoderClient and CascadeResolver.prefetch against an in-process
+Nominatim-style HTTP server on 127.0.0.1."""
+
+import json
+import os
+import sys
+import threading
+import time
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
+
+import pytest
+
+from coverage_auditor.countries import normalize_name
+from coverage_auditor.geocode import (CascadeResolver, GeocoderResult,
+                                      KnowledgeBase, LiveGeocoderClient,
+                                      remote_geocode)
+from coverage_auditor.pipeline import PipelineConfig, run_pipeline
+from coverage_auditor.places import ResolverStage
+
+E2E = Path(__file__).parent / "fixtures" / "e2e"
+PROXY_VARS = ["http_proxy", "https_proxy", "all_proxy", "no_proxy",
+              "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"]
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        srv = self.server
+        query = parse_qs(urlsplit(self.path).query)["q"][0]
+        with srv.lock:
+            srv.queries.append(query)
+            srv.user_agents.append(self.headers.get("User-Agent"))
+            srv.inflight += 1
+            srv.inflight_max = max(srv.inflight_max, srv.inflight)
+        time.sleep(srv.delay)
+        # Leave the in-flight count before answering: the client may start
+        # its next request as soon as it has read this one.
+        with srv.lock:
+            srv.inflight -= 1
+        if srv.status != 200:
+            self.send_error(srv.status)
+            return
+        body = json.dumps(srv.answers.get(normalize_name(query), [])).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, answers, delay, status):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.answers = {normalize_name(k): v for k, v in answers.items()}
+        self.delay = delay
+        self.status = status
+        self.lock = threading.Lock()
+        self.queries: list[str] = []
+        self.user_agents: list[str] = []
+        self.inflight = 0
+        self.inflight_max = 0
+
+    @property
+    def endpoint(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}/search"
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """serve(answers, delay=0.0, status=200) -> a running _Server."""
+    for var in PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+    running = []
+
+    def start(answers, delay=0.0, status=200):
+        srv = _Server(answers, delay, status)
+        thread = threading.Thread(target=srv.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        running.append((srv, thread))
+        return srv
+
+    yield start
+    for srv, thread in running:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _answer(name, alpha2, importance=0.5):
+    return {"display_name": name, "importance": importance,
+            "address": {"country_code": alpha2}}
+
+
+@pytest.fixture(scope="module")
+def kb(registry):
+    return KnowledgeBase.load(registry)
+
+
+def test_results_parse_and_user_agent_is_sent(serve, registry):
+    srv = serve({"Coon Valley": [
+        _answer("Coon Valley, Wisconsin, United States", "us", 0.45),
+        {"display_name": "Coon Valley (stream)", "importance": "0.1"},
+    ]})
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    assert client.geocode("Coon Valley") == [
+        GeocoderResult("Coon Valley, Wisconsin, United States", "USA", 0.45),
+        GeocoderResult("Coon Valley (stream)", None, 0.1),
+    ]
+    assert srv.queries == ["Coon Valley"]
+    assert srv.user_agents == ["coverage-auditor/0.1"]
+
+
+def test_alpha2_codes_map_through_the_registry(serve, registry):
+    srv = serve({"Cochabamba": [{"display_name": "Cochabamba, Bolivia",
+                                 "importance": 0.6, "country_code": "bo"}]})
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    assert remote_geocode("Cochabamba", client, registry=registry).iso3 == "BOL"
+
+
+def test_http_error_is_retried_then_skipped(serve, registry):
+    srv = serve({}, status=500)
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    assert remote_geocode("Anywhere", client, retries=2, backoff=0.0,
+                          registry=registry) is None
+    assert srv.queries == ["Anywhere"] * 3
+
+
+def test_prefetch_keeps_max_inflight(serve, registry, kb):
+    names = [f"Place {i}" for i in range(24)]
+    srv = serve({n: [_answer(n, "bo")] for n in names}, delay=0.01)
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, max_inflight=2,
+                                registry=registry)
+    resolver = CascadeResolver(kb, client, registry)
+    workers = 4 * (os.cpu_count() or 1)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=resolver.prefetch, args=(names, workers))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+
+    assert srv.inflight_max == 2
+    assert sorted(srv.queries) == sorted(names)
+    for name in names:
+        mention = resolver.resolve(name)
+        assert mention.resolved.iso3 == "BOL"
+        assert mention.resolver_stage is ResolverStage.REMOTE_GEOCODER
+    assert len(srv.queries) == len(names)  # resolve used the prefetched answers
+
+
+def _e2e_answers():
+    """The e2e replay table, as a live geocoder would answer it."""
+    answers = {}
+    for line in (E2E / "replay.jsonl").read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        answers[obj["query"]] = [
+            _answer(r["display_name"], "us" if r["iso3"] == "USA" else None,
+                    r["importance"])
+            for r in obj["results"]]
+    return answers
+
+
+def _run_extract(tmp_path: Path, name: str, **overrides) -> Path:
+    cfg = PipelineConfig.from_ini(E2E / "config.ini")
+    cfg.cache_dir = tmp_path / name / "cache"
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    out = tmp_path / name / "out"
+    run_pipeline(cfg, out, stages=["scan", "extract"])
+    return out
+
+
+def test_extract_requests_each_distinct_miss_once(serve, monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(a) + "\n" for a in [
+        {"article_id": "kyushu-2012", "title": "2012 Kyushu floods", "citations": [],
+         "paragraphs": ["In July 2012, torrential rains caused floods in Kyushu.",
+                        "On July 14, 2012, floods also reached Coon Valley and Paris.",
+                        "Floods in KYUSHU and Coon Valley receded by July 20, 2012."]},
+        {"article_id": "paris-2016", "title": "2016 Paris floods", "citations": [],
+         "paragraphs": ["In June 2016, the Seine flooded Paris and Coon Valley."]},
+    ]))
+    srv = serve(_e2e_answers())
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", srv.endpoint)
+    # With refresh, the cache cannot hide repeated requests.
+    _run_extract(tmp_path, "live", corpus=corpus, geocoder="live", min_delay_ms=0,
+                 max_inflight=4, refresh_cache=True)
+
+    cache_rows = [json.loads(line) for line in
+                  (tmp_path / "live" / "cache" / "geocache.jsonl").read_text().splitlines()]
+    miss_rows = [r["query"] for r in cache_rows if r["stage"] != "GAZETTEER"]
+    requested = Counter(normalize_name(q) for q in srv.queries)
+    assert set(requested) == set(miss_rows)
+    assert set(requested.values()) == {1}
+    # Misses are mentioned more than once, so the dedupe was exercised.
+    assert set(miss_rows) == {"kyushu", "coon valley", "paris"}
+    assert len(miss_rows) > len(set(miss_rows))
+
+
+def test_resolved_is_identical_across_max_inflight(serve, monkeypatch, tmp_path):
+    srv = serve(_e2e_answers(), delay=0.005)
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", srv.endpoint)
+    outs = [_run_extract(tmp_path, f"inflight{n}", geocoder="live",
+                         min_delay_ms=0, max_inflight=n) for n in (1, 4)]
+    outs.append(_run_extract(tmp_path, "replay"))
+    resolved = [(out / "resolved.jsonl").read_bytes() for out in outs]
+    assert b'"place_stage":"REMOTE_GEOCODER"' in resolved[0]
+    assert resolved[0] == resolved[1] == resolved[2]
