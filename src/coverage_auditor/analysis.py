@@ -14,7 +14,6 @@ from urllib.parse import urlsplit
 
 from .corpus import CandidateSentence
 from .ground_truth import ConsolidatedEvent
-from .matching import MatchResult
 
 AXES = ["continent", "gdp", "gni", "vuln", "english", "population",
         "fatalities", "month", "country"]
@@ -244,18 +243,18 @@ def _bucket_order(axis: str, labels: Iterable[str]) -> list[str]:
     return ordered
 
 
-def stratify(events: list[ConsolidatedEvent], matches: list[MatchResult],
+def stratify(events: list[ConsolidatedEvent], matched_ids: set[str],
              indicators: dict[str, CountryIndicators], axis: str,
              min_country_events: int = 5,
              fatalities_unknown: str = "zero") -> list[StratumReport]:
     """Per-bucket ground-truth counts, matched counts, and hit rates.
 
-    The "unknown" bucket collects events whose indicator is missing; it is
+    An event counts as matched when its id is in ``matched_ids``. The
+    "unknown" bucket collects events whose indicator is missing; it is
     reported but excluded from the axis' main totals. On the country axis,
     countries with fewer than ``min_country_events`` events are dropped,
     and rows come out ordered by descending event count.
     """
-    matched_ids = {m.event_id for m in matches}
     gt_counts: dict[str, int] = {}
     hit_counts: dict[str, int] = {}
     for event in events:

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .matching import evaluate
 from .pipeline import (ARTIFACTS, STAGES, ConfigError, InputError,
                        PipelineConfig, StageError, read_jsonl, run_pipeline)
 
@@ -131,19 +132,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     matches_path = out_dir / ARTIFACTS["match"]
     events_path = out_dir / ARTIFACTS["consolidate"]
     if matches_path.exists() and events_path.exists():
-        matches = read_jsonl(matches_path)
-        events = read_jsonl(events_path)
-        hit = len({m["event_id"] for m in matches})
-        total = len(events)
+        labels = _read_labels(args.labels) if args.labels is not None else {}
+        report = evaluate(read_jsonl(matches_path), labels,
+                          len(read_jsonl(events_path)))
+        hit, total = report.hits, report.ground_truth_total
         rate = f"{100.0 * hit / total:.2f}%" if total else "n/a"
         print(f"  hit rate: {hit}/{total} = {rate}")
         if args.labels is not None:
-            labels = _read_labels(args.labels)
-            keys = sorted({(m["article_id"], m["sentence_index"]) for m in matches})
-            relevant = sum(1 for k in keys if labels.get(k, False))
-            if keys:
-                print(f"  precision: {relevant}/{len(keys)} = "
-                      f"{100.0 * relevant / len(keys):.2f}%")
+            relevant, matched = report.relevant_matched, report.matched_candidates
+            if matched:
+                print(f"  precision: {relevant}/{matched} = "
+                      f"{100.0 * relevant / matched:.2f}%")
             else:
                 print("  precision: undefined (no matched candidates)")
             print(f"  recall: {hit}/{total} = {rate}")

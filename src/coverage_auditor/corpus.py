@@ -18,6 +18,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
+from .dates import distinct_years
+
 log = logging.getLogger(__name__)
 
 FLOOD_KEYWORDS = ["flood", "floods", "flooding", "flooded", "inundation"]
@@ -52,7 +54,7 @@ class CandidateSentence:
     via_title_rule: bool
     relevance: float = 0.0
     citations: list[str] = field(default_factory=list)
-    paragraph: str = ""  # full paragraph text, kept for year inference
+    paragraph_years: list[int] = field(default_factory=list)  # for year inference
 
     def to_json_dict(self) -> dict:
         return {
@@ -64,7 +66,7 @@ class CandidateSentence:
             "via_title_rule": self.via_title_rule,
             "relevance": round(self.relevance, 6),
             "citations": self.citations,
-            "paragraph": self.paragraph,
+            "paragraph_years": self.paragraph_years,
         }
 
     @classmethod
@@ -78,7 +80,7 @@ class CandidateSentence:
             via_title_rule=d["via_title_rule"],
             relevance=d.get("relevance", 0.0),
             citations=list(d.get("citations", [])),
-            paragraph=d.get("paragraph", ""),
+            paragraph_years=d["paragraph_years"],
         )
 
 
@@ -304,8 +306,11 @@ def extract_candidates(article: Article, substring: bool = False) -> list[Candid
         sentences = segment_sentences(paragraph)
         spans = _sentence_spans(paragraph, sentences)
         para_citations = [c for c in article.citations if c.paragraph_index == pidx]
+        years = None  # computed for paragraphs holding a candidate only
         for text, (s_start, _) in zip(sentences, spans):
             if title_hit or keyword_filter(text, substring):
+                if years is None:
+                    years = sorted(distinct_years(paragraph))
                 urls = [c.url for c in para_citations
                         if _owning_sentence(spans, c.offset) == s_start]
                 candidates.append(CandidateSentence(
@@ -316,7 +321,7 @@ def extract_candidates(article: Article, substring: bool = False) -> list[Candid
                     text=text,
                     via_title_rule=title_hit,
                     citations=urls,
-                    paragraph=paragraph,
+                    paragraph_years=years,
                 ))
             sentence_counter += 1
     return candidates

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Collection
 
 YEAR_MIN, YEAR_MAX = 1900, 2100
 
@@ -155,13 +156,15 @@ def distinct_years(text: str) -> set[int]:
             if _valid_year(int(tok))}
 
 
-def infer_year(mention: DateMention, sentence: str, paragraph: str = "",
+def infer_year(mention: DateMention, sentence: str,
+               paragraph_years: Collection[int] = (),
                title: str = "") -> DateMention:
     """Adopt a year from context when exactly one candidate exists.
 
     Cascade: one distinct year in the sentence wins; failing that (and only
-    when the sentence is year-free) a unique year in the paragraph, then in
-    the title. Ambiguity at a level never falls back to guessing.
+    when the sentence is year-free) a unique year in the paragraph, given as
+    its ``distinct_years``, then in the title. Ambiguity at a level never
+    falls back to guessing.
     """
     if mention.year is not None:
         return mention
@@ -171,7 +174,6 @@ def infer_year(mention: DateMention, sentence: str, paragraph: str = "",
                        year_source=YearSource.SENTENCE)
     if sentence_years:
         return mention  # several years in the sentence: ambiguous
-    paragraph_years = distinct_years(paragraph)
     if len(paragraph_years) == 1:
         return replace(mention, year=next(iter(paragraph_years)),
                        year_source=YearSource.PARAGRAPH)

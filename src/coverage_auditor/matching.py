@@ -47,8 +47,8 @@ class MatchResult:
             date_str = f"{d.year:04d}-{d.month:02d}"
         return {
             "event_id": self.event_id,
-            "article_id": self.candidate.candidate.article_id,
-            "sentence_index": self.candidate.candidate.sentence_index,
+            "article_id": self.candidate.article_id,
+            "sentence_index": self.candidate.sentence_index,
             "strategy": self.strategy.value,
             "matched_date": date_str,
             "iso3": self.matched_country.iso3,
@@ -133,36 +133,24 @@ def match_all(candidates: Iterable[ResolvedCandidate], events: EventIndex,
     return matches
 
 
-def evaluate(matches: list[MatchResult],
+def evaluate(match_rows: list[dict],
              labeled_sample: dict[tuple[str, int], bool],
-             events: list[ConsolidatedEvent]) -> EvalReport:
+             ground_truth_total: int) -> EvalReport:
     """Precision over labeled matched candidates, recall over events.
 
-    ``labeled_sample`` maps (article_id, sentence_index) to a human
-    relevance judgement; matched candidates missing from the sample count
-    as irrelevant.
+    ``match_rows`` are ``matches.jsonl`` rows. ``labeled_sample`` maps
+    (article_id, sentence_index) to a human relevance judgement; matched
+    candidates missing from the sample count as irrelevant.
     """
-    candidate_keys = sorted({
-        (m.candidate.candidate.article_id, m.candidate.candidate.sentence_index)
-        for m in matches})
+    candidate_keys = {(m["article_id"], m["sentence_index"]) for m in match_rows}
     matched_candidates = len(candidate_keys)
     relevant = sum(1 for key in candidate_keys if labeled_sample.get(key, False))
-    hit_events = {m.event_id for m in matches}
-    total = len(events)
+    hits = len({m["event_id"] for m in match_rows})
     return EvalReport(
         precision=(relevant / matched_candidates) if matched_candidates else None,
-        recall=(len(hit_events) / total) if total else 0.0,
-        hits=len(hit_events),
+        recall=(hits / ground_truth_total) if ground_truth_total else 0.0,
+        hits=hits,
         matched_candidates=matched_candidates,
         relevant_matched=relevant,
-        ground_truth_total=total,
+        ground_truth_total=ground_truth_total,
     )
-
-
-def hit_rate(events: list[ConsolidatedEvent],
-             matches: list[MatchResult]) -> float | None:
-    """Percentage of events matched by at least one candidate; None for 0/0."""
-    if not events:
-        return None
-    hit = {m.event_id for m in matches} & {e.event_id for e in events}
-    return 100.0 * len(hit) / len(events)

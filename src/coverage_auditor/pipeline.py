@@ -19,8 +19,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import AXES, extract_reference_domains, load_indicators, stratify
 from .corpus import (CandidateSentence, builtin_scorer, constant_scorer,
-                     extract_candidates, filter_by_relevance, ingest_articles,
-                     segment_sentences)
+                     extract_candidates, filter_by_relevance, ingest_articles)
 from .countries import CountryRegistry
 from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
@@ -29,8 +28,8 @@ from .ground_truth import (ConsolidatedEvent, Source, consolidate,
                            filter_multi_source, impute_end_date,
                            parse_source_records, resolve_countries)
 from .matching import EventIndex, Strategy, match_all
-from .places import (Gazetteer, GazetteerSpotter, expand_candidates,
-                     extract_placenames)
+from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
+                     expand_candidates, extract_placenames)
 
 CACHE_DIR_ENV = "COVAUD_CACHE_DIR"
 
@@ -158,6 +157,10 @@ class PipelineConfig:
                 raise ConfigError(f"unknown corpus format {self.corpus_format!r}")
             self.make_scorer()
         if "extract" in stages:
+            if self.max_inflight < 1:
+                raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
+            if self.min_delay_ms < 0:
+                raise ConfigError(f"min_delay_ms must be >= 0, got {self.min_delay_ms}")
             if self.geocoder.startswith("replay:"):
                 replay = self.geocoder[len("replay:"):]
                 if replay and not Path(replay).exists():
@@ -335,9 +338,9 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     spotted = []
     for cand in candidates:
-        paragraph = cand.paragraph or cand.text
         mentions = find_dates(cand.text) + find_dates(cand.title)
-        dates = [infer_year(m, cand.text, paragraph, cand.title) for m in mentions]
+        dates = [infer_year(m, cand.text, cand.paragraph_years, cand.title)
+                 for m in mentions]
         places = extract_placenames(cand.text, spotter)
         places += [p for p in extract_placenames(cand.title, spotter)
                    if p.raw_span not in {q.raw_span for q in places}]
@@ -376,7 +379,8 @@ def stage_match(cfg: PipelineConfig, out_dir: Path) -> dict:
     events = [ConsolidatedEvent.from_json_dict(d, registry)
               for d in read_jsonl(out_dir / "events.jsonl")]
     index = EventIndex(events)
-    resolved = _load_resolved(out_dir / "resolved.jsonl", registry)
+    resolved = [ResolvedCandidate.from_json_dict(d, registry)
+                for d in read_jsonl(out_dir / "resolved.jsonl")]
     strategy = Strategy(cfg.strategy)
     matches = match_all(resolved, index, strategy, cfg.window_days)
     rows = sorted((m.to_json_dict() for m in matches),
@@ -389,37 +393,17 @@ def stage_match(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _load_resolved(path: Path, registry: CountryRegistry):
-    from .dates import DateMention
-    from .places import ResolvedCandidate
-
-    out = []
-    for d in read_jsonl(path):
-        cand = CandidateSentence.from_json_dict(d)
-        out.append(ResolvedCandidate(
-            candidate=cand,
-            country=registry.get(d["iso3"]),
-            date=DateMention.from_json_dict(d["date"]),
-        ))
-    return out
-
-
 def stage_analyze(cfg: PipelineConfig, out_dir: Path) -> dict:
     registry = cfg.make_registry()
     events = [ConsolidatedEvent.from_json_dict(d, registry)
               for d in read_jsonl(out_dir / "events.jsonl")]
     match_rows = read_jsonl(out_dir / "matches.jsonl")
     indicators = load_indicators(cfg.indicators)
-
-    class _MatchView:
-        def __init__(self, event_id):
-            self.event_id = event_id
-
-    matches = [_MatchView(r["event_id"]) for r in match_rows]
+    matched_ids = {r["event_id"] for r in match_rows}
 
     axes_out: dict[str, list[dict]] = {}
     for axis in cfg.axes:
-        reports = stratify(events, matches, indicators, axis,
+        reports = stratify(events, matched_ids, indicators, axis,
                            min_country_events=cfg.min_country_events,
                            fatalities_unknown=cfg.fatalities_unknown)
         axes_out[axis] = [r.to_json_dict() for r in reports]

@@ -8,7 +8,7 @@ can be plugged in through the same callable interface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -35,64 +35,61 @@ class PlaceMention:
 
 @dataclass
 class ResolvedCandidate:
-    candidate: CandidateSentence
+    """One (country, date) reading of a candidate sentence, keyed by the
+    candidate's (article_id, sentence_index)."""
+    article_id: str
+    sentence_index: int
     country: CountryCode
     date: DateMention
-    place: PlaceMention | None = None  # provenance; None for context-only hits
+    place: PlaceMention  # provenance: the first span resolving to country
 
     def to_json_dict(self) -> dict:
-        d = self.candidate.to_json_dict()
-        d["iso3"] = self.country.iso3
-        d["date"] = self.date.to_json_dict()
-        d["place_span"] = self.place.raw_span if self.place else None
-        d["place_stage"] = (self.place.resolver_stage.value if self.place
-                            else ResolverStage.CONTEXT_INFERENCE.value)
-        return d
+        return {
+            "article_id": self.article_id,
+            "sentence_index": self.sentence_index,
+            "iso3": self.country.iso3,
+            "date": self.date.to_json_dict(),
+            "place_span": self.place.raw_span,
+            "place_stage": self.place.resolver_stage.value,
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict, registry: CountryRegistry) -> "ResolvedCandidate":
+        country = registry.get(d["iso3"])
+        return cls(d["article_id"], d["sentence_index"], country,
+                   DateMention.from_json_dict(d["date"]),
+                   PlaceMention(d["place_span"], country,
+                                ResolverStage(d["place_stage"])))
 
 
 # extractor: text -> place-name spans in positional order
 PlacenameExtractor = Callable[[str], list[str]]
 
 
-@dataclass
-class GazetteerEntry:
-    placename: str
-    iso3: str | None
-    importance: float
-
-
 class Gazetteer:
-    """Immutable placename table; keys are lowercased phrases."""
+    """Immutable set of lowercased placename phrases."""
 
-    def __init__(self, entries: dict[str, GazetteerEntry]):
-        self._entries = entries
-        self.max_tokens = max((len(k.split()) for k in entries), default=1)
+    def __init__(self, names: set[str]):
+        self._names = frozenset(names)
+        self.max_tokens = max((len(k.split()) for k in self._names), default=1)
 
     @classmethod
     def load(cls, path: Path | None = None,
              registry: CountryRegistry | None = None) -> "Gazetteer":
+        """Registry display names plus the first tab field of each line."""
         path = path or Path(str(resources.files("coverage_auditor")
                                 .joinpath("data", "gazetteer.tsv")))
-        entries: dict[str, GazetteerEntry] = {}
-        if registry is not None:
-            for country in registry:
-                entries[country.display_name.lower()] = GazetteerEntry(
-                    country.display_name, country.iso3, 1.0)
+        names = {c.display_name.lower() for c in registry or ()}
         with open(path, encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
-                name, iso3, importance = (f.strip() for f in line.split("\t"))
-                entries[name.lower()] = GazetteerEntry(
-                    name, iso3 or None, float(importance))
-        return cls(entries)
+                names.add(line.split("\t", 1)[0].strip().lower())
+        return cls(names)
 
     def __contains__(self, phrase: str) -> bool:
-        return phrase.lower() in self._entries
-
-    def get(self, phrase: str) -> GazetteerEntry | None:
-        return self._entries.get(phrase.lower())
+        return phrase.lower() in self._names
 
 
 _CAP_TOKEN_RE = re.compile(r"\b[A-Z][\w'’-]*\b")
@@ -184,5 +181,7 @@ def expand_candidates(candidate: CandidateSentence,
     for iso3 in sorted(countries):
         country, place = countries[iso3]
         for mention in usable_dates:
-            expanded.append(ResolvedCandidate(candidate, country, mention, place))
+            expanded.append(ResolvedCandidate(candidate.article_id,
+                                              candidate.sentence_index,
+                                              country, mention, place))
     return expanded

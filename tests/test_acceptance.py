@@ -17,7 +17,8 @@ from coverage_auditor.analysis import (compute_hit_rate_pct,
                                        extract_reference_domains)
 from coverage_auditor.cli import main as cli_main
 from coverage_auditor.corpus import CandidateSentence
-from coverage_auditor.dates import YearSource, find_dates, infer_year
+from coverage_auditor.dates import (YearSource, distinct_years, find_dates,
+                                    infer_year)
 from coverage_auditor.geocode import CascadeResolver, KnowledgeBase
 from coverage_auditor.ground_truth import (Source, consolidate,
                                            filter_multi_source)
@@ -120,7 +121,7 @@ def _eval_case(registry, n_events, n_candidates, n_relevant):
              for i, d in enumerate(starts)]
     labels = {("a1", i): i < n_relevant for i in range(n_candidates)}
     matches = match_all(cands, index, Strategy.YMD, window_days=0)
-    return evaluate(matches, labels, events)
+    return evaluate([m.to_json_dict() for m in matches], labels, len(events))
 
 
 def test_ac4_precision_recall(registry):
@@ -248,7 +249,7 @@ def test_ac7_year_inference_table():
     failures = []
     for idx, (sentence, paragraph, title, exp_year, exp_source) in enumerate(cases):
         mentions = [m for m in find_dates(sentence) if m.month is not None]
-        out = infer_year(mentions[0], sentence, paragraph, title)
+        out = infer_year(mentions[0], sentence, distinct_years(paragraph), title)
         if (out.year, out.year_source) != (exp_year, exp_source):
             failures.append(f"case {idx}: ({out.year}, {out.year_source.value})")
     verdict(7, not failures,

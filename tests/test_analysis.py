@@ -105,11 +105,6 @@ def test_bucket_functions_partition_their_domains():
 
 # --- stratification --------------------------------------------------------------
 
-class FakeMatch:
-    def __init__(self, event_id):
-        self.event_id = event_id
-
-
 @pytest.fixture(scope="module")
 def indicators():
     return load_indicators(FIXTURES / "e2e" / "indicators.csv")
@@ -121,8 +116,8 @@ def test_stratify_continent(registry, indicators):
         make_event(registry, "PAK", date(2019, 4, 13), date(2019, 4, 18)),
         make_event(registry, "AGO", date(2016, 3, 1), date(2016, 3, 10)),
     ]
-    matches = [FakeMatch("IND-2018-08-08"), FakeMatch("PAK-2019-04-13")]
-    rows = stratify(events, matches, indicators, "continent")
+    rows = stratify(events, {"IND-2018-08-08", "PAK-2019-04-13"}, indicators,
+                    "continent")
     assert [(r.bucket_label, r.ground_truth_count, r.matched_count,
              r.hit_rate_pct) for r in rows] == [
         ("Asia", 2, 2, 100.0), ("Africa", 1, 0, 0.0)]
@@ -133,7 +128,7 @@ def test_stratify_unknown_bucket_reported_last(registry, indicators):
         make_event(registry, "IND", date(2018, 8, 8), date(2018, 8, 25)),
         make_event(registry, "NPL", date(2018, 6, 1), date(2018, 6, 4)),
     ]
-    rows = stratify(events, [], indicators, "gdp")  # NPL has no indicator row
+    rows = stratify(events, set(), indicators, "gdp")  # NPL has no indicator row
     assert rows[-1].bucket_label == "unknown"
     assert rows[-1].ground_truth_count == 1
 
@@ -144,7 +139,7 @@ def test_stratify_fatalities_exclude_policy(registry, indicators):
                    fatalities=400),
         make_event(registry, "PAK", date(2019, 4, 13), date(2019, 4, 18)),
     ]
-    rows = stratify(events, [], indicators, "fatalities",
+    rows = stratify(events, set(), indicators, "fatalities",
                     fatalities_unknown="exclude")
     assert [(r.bucket_label, r.ground_truth_count) for r in rows] == [
         ("100-1999", 1)]
@@ -156,7 +151,7 @@ def test_stratify_month_axis(registry, indicators):
         make_event(registry, "USA", date(2018, 8, 20), date(2018, 8, 23)),
         make_event(registry, "PAK", date(2019, 4, 13), date(2019, 4, 18)),
     ]
-    rows = stratify(events, [], indicators, "month")
+    rows = stratify(events, set(), indicators, "month")
     assert [(r.bucket_label, r.ground_truth_count) for r in rows] == [
         ("2018-08", 2), ("2019-04", 1)]
 
@@ -169,8 +164,7 @@ def test_stratify_country_axis_min_events_and_ordering(registry, indicators):
                       date(2019, 4, 2 + 3 * i)) for i in range(3)]
         + [make_event(registry, "AGO", date(2016, 3, 1), date(2016, 3, 10))]
     )
-    matches = [FakeMatch("PAK-2019-04-01")]
-    rows = stratify(events, matches, indicators, "country",
+    rows = stratify(events, {"PAK-2019-04-01"}, indicators, "country",
                     min_country_events=3)
     # AGO dropped (1 < 3); IND/PAK tie on count, broken alphabetically.
     assert [(r.bucket_label, r.matched_count) for r in rows] == [

@@ -97,6 +97,19 @@ def test_missing_indicators_fails_before_any_stage(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("setting", ["max_inflight = 0", "max_inflight = -1",
+                                     "min_delay_ms = -1"])
+def test_bad_geocoder_limits_fail_before_any_stage(tmp_path, setting):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    config = inputs / "config.ini"
+    config.write_text(config.read_text().replace("[extract]\n",
+                                                 f"[extract]\n{setting}\n"))
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", config, "--out", out) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_strategy_is_a_config_error(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text((E2E / "config.ini").read_text().replace(
@@ -111,6 +124,30 @@ def test_unparsable_source_csv_is_an_input_error(tmp_path):
     (tmp_path / "floodlist.csv").write_text("totally,wrong,header\n1,2,3\n")
     assert run_cli("run", "--config", tmp_path / "config.ini",
                    "--out", tmp_path / "run") == 3
+
+
+def test_artifacts_carry_keys_not_copies(finished_run):
+    candidates = [json.loads(l) for l in
+                  (finished_run / "candidates.jsonl").read_text().splitlines()]
+    resolved = [json.loads(l) for l in
+                (finished_run / "resolved.jsonl").read_text().splitlines()]
+    assert candidates and resolved
+    assert all("paragraph_years" in c and "paragraph" not in c for c in candidates)
+    keys = {(c["article_id"], c["sentence_index"]) for c in candidates}
+    for row in resolved:
+        assert set(row) == {"article_id", "sentence_index", "iso3", "date",
+                            "place_span", "place_stage"}
+        assert (row["article_id"], row["sentence_index"]) in keys
+
+
+def test_candidates_without_paragraph_years_fail_extract(finished_run):
+    path = finished_run / "candidates.jsonl"
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    for row in rows:
+        del row["paragraph_years"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert run_cli("extract", "--config", E2E / "config.ini",
+                   "--out", finished_run) == 4
 
 
 def test_report_summarizes_run(finished_run, capsys):

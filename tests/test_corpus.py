@@ -118,11 +118,11 @@ def test_title_rule_takes_all_sentences():
 def test_sentence_index_is_article_global():
     art = make_article("Kyushu", [
         "No keyword here. Still nothing.",
-        "Then the floods came. And receded.",
+        "Then the floods came. And receded in 2019.",
     ])
     cands = extract_candidates(art)
     assert [(c.paragraph_index, c.sentence_index) for c in cands] == [(1, 2)]
-    assert cands[0].paragraph == art.paragraphs[1]
+    assert cands[0].paragraph_years == [2019]
 
 
 def test_citation_attaches_to_nearest_preceding_sentence():

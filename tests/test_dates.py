@@ -57,40 +57,43 @@ def mention(day=13, month=4):
 
 def test_explicit_year_untouched():
     m = DateMention("April 13, 2019", 13, 4, 2019, YearSource.EXPLICIT)
-    out = infer_year(m, "sentence from 1999", "paragraph 2001", "title 2002")
+    out = infer_year(m, "sentence from 1999", distinct_years("paragraph 2001"),
+                     "title 2002")
     assert (out.year, out.year_source) == (2019, YearSource.EXPLICIT)
 
 
 def test_sentence_year_wins():
     out = infer_year(mention(), "On April 13 of 2019, rains fell.",
-                     "Paragraph mentions 1999.", "Title 2001")
+                     distinct_years("Paragraph mentions 1999."), "Title 2001")
     assert (out.year, out.year_source) == (2019, YearSource.SENTENCE)
 
 
 def test_ambiguous_sentence_stops_the_cascade():
     out = infer_year(mention(), "Between 2018 and 2019, on April 13.",
-                     "Paragraph says 2019 only.", "Title 2019")
+                     distinct_years("Paragraph says 2019 only."), "Title 2019")
     assert out.year is None
     assert out.year_source is YearSource.UNRESOLVED
 
 
 def test_paragraph_year_used_when_sentence_is_year_free():
     out = infer_year(mention(), "On April 13 the rain began.",
-                     "The 2019 season was harsh. On April 13 the rain began.",
+                     distinct_years("The 2019 season was harsh. "
+                                    "On April 13 the rain began."),
                      "A title with 2001")
     assert (out.year, out.year_source) == (2019, YearSource.PARAGRAPH)
 
 
 def test_title_year_is_the_last_resort():
     out = infer_year(mention(), "On April 13 the rain began.",
-                     "On April 13 the rain began.",
+                     distinct_years("On April 13 the rain began."),
                      "2019 Khyber Pakhtunkhwa floods")
     assert (out.year, out.year_source) == (2019, YearSource.TITLE)
 
 
 def test_no_year_anywhere_stays_unresolved():
     out = infer_year(mention(), "On April 13 the rain began.",
-                     "On April 13 the rain began.", "Flooding in Sudan")
+                     distinct_years("On April 13 the rain began."),
+                     "Flooding in Sudan")
     assert out.year is None
     assert not out.is_matchable
 

@@ -3,12 +3,10 @@ from datetime import date, timedelta
 
 import pytest
 
-from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.dates import DateMention, YearSource
 from coverage_auditor.ground_truth import ConsolidatedEvent
 from coverage_auditor.matching import (EventIndex, Strategy, evaluate,
-                                       hit_rate, match_all, match_ym,
-                                       match_ymd)
+                                       match_all, match_ym, match_ymd)
 from coverage_auditor.places import PlaceMention, ResolvedCandidate
 
 
@@ -31,11 +29,10 @@ def make_event(registry, iso3, start, end, fatalities=None):
 
 def make_candidate(registry, iso3, year, month, day=None,
                    article_id="a1", sentence_index=0):
-    cand = CandidateSentence(article_id, "T", 0, sentence_index, "text", False)
     mention = DateMention("span", day=day, month=month, year=year,
                           year_source=YearSource.EXPLICIT)
-    return ResolvedCandidate(cand, registry.get(iso3), mention,
-                             PlaceMention("P", registry.get(iso3)))
+    return ResolvedCandidate(article_id, sentence_index, registry.get(iso3),
+                             mention, PlaceMention("P", registry.get(iso3)))
 
 
 # --- YMD ----------------------------------------------------------------------
@@ -138,7 +135,7 @@ def test_evaluate_counts(registry):
              for i in range(3)]
     matches = match_all(cands, index, Strategy.YMD, window_days=0)
     labels = {("a1", 0): True, ("a1", 1): False}  # a1#2 unlabeled -> irrelevant
-    report = evaluate(matches, labels, events)
+    report = evaluate([m.to_json_dict() for m in matches], labels, len(events))
     assert report.matched_candidates == 3
     assert report.relevant_matched == 1
     assert report.precision == pytest.approx(1 / 3)
@@ -148,16 +145,17 @@ def test_evaluate_counts(registry):
 
 def test_evaluate_precision_undefined_without_matches(registry):
     events = [make_event(registry, "IND", date(2018, 6, 1), date(2018, 6, 2))]
-    report = evaluate([], {}, events)
+    report = evaluate([], {}, len(events))
     assert report.precision is None
     assert report.recall == 0.0
 
 
-def test_hit_rate(registry):
+def test_evaluate_recall_is_share_of_events_hit(registry):
     events = [make_event(registry, "IND", date(2018, 6, 1 + 3 * i),
                          date(2018, 6, 2 + 3 * i)) for i in range(4)]
     index = EventIndex(events)
     cand = make_candidate(registry, "IND", 2018, 6, 1)
     matches = match_all([cand], index, Strategy.YMD, window_days=0)
-    assert hit_rate(events, matches) == pytest.approx(25.0)
-    assert hit_rate([], []) is None
+    report = evaluate([m.to_json_dict() for m in matches], {}, len(events))
+    assert report.hits == 1
+    assert report.recall == pytest.approx(0.25)

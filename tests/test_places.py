@@ -3,7 +3,8 @@ import pytest
 from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.dates import DateMention, YearSource
 from coverage_auditor.places import (Gazetteer, GazetteerSpotter, PlaceMention,
-                                     expand_candidates, extract_placenames)
+                                     ResolvedCandidate, expand_candidates,
+                                     extract_placenames)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,15 @@ def test_unknown_capitalized_spans_are_ignored(spotter):
     assert names(spotter, "Hurricane Irma struck Middlewich yesterday.") == []
 
 
+def test_gazetteer_reads_the_first_field_of_wider_files(tmp_path):
+    path = tmp_path / "gazetteer.tsv"
+    path.write_text("# placename\tiso3\timportance\nMiddlewich\tGBR\t0.3\n"
+                    "Rhine Delta\t\t0.5\n")
+    spotter = GazetteerSpotter(Gazetteer.load(path))
+    assert names(spotter, "Floods reached Middlewich and the Rhine Delta.") == [
+        "Middlewich", "Rhine Delta"]
+
+
 # --- candidate expansion --------------------------------------------------------
 
 def make_candidate():
@@ -72,6 +82,7 @@ def test_expand_dedupes_countries_and_dates(registry):
     rows = expand_candidates(make_candidate(), dates, places)
     assert len(rows) == 1
     assert rows[0].place.raw_span == "KPK"  # first mention carries provenance
+    assert ResolvedCandidate.from_json_dict(rows[0].to_json_dict(), registry) == rows[0]
 
 
 def test_expand_empty_without_place_or_matchable_date(registry):
