@@ -1,8 +1,11 @@
 """Placename-to-country resolution cascade with persistent caching.
 
 Stages, in order: local knowledge-base lookup, remote geocoder query,
-whole-text country inference. The first stage that succeeds wins; every
-outcome (including misses) is cached so re-runs are cheap and hermetic.
+whole-text country inference. The first stage that succeeds wins. The
+first two depend on the placename alone and are answered once per distinct
+name; only the geocoder's answers (a country, or none) are cached across
+runs. Inference depends on the sentence, so it runs for every mention the
+name alone leaves without a country, and is never cached.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def remote_geocode(placename: str, client: GeocoderClient,
     """One query; returns the most important result carrying a country.
 
     Importance ties break lexicographically on display_name. Network
-    failures are retried up to ``retries`` times before skipping the stage.
+    failures are retried up to ``retries`` times; the last one is raised.
     """
     registry = registry or default_registry()
     attempt = 0
@@ -179,12 +182,10 @@ def remote_geocode(placename: str, client: GeocoderClient,
         try:
             results = client.geocode(placename)
             break
-        except Exception as exc:
+        except Exception:
             attempt += 1
             if attempt > retries:
-                log.warning("geocoder failed for %r after %d attempts: %s",
-                            placename, attempt, exc)
-                return None
+                raise
             time.sleep(backoff * attempt)
 
     with_country = [r for r in results if r.iso3]
@@ -204,25 +205,18 @@ class AliasScanInferencer:
     """
 
     def __init__(self, registry: CountryRegistry):
-        self._entries = [
-            (re.compile(rf"\b{re.escape(alias)}\b"), len(alias), country)
-            for alias, country in registry.alias_items()
-        ]
+        items = registry.alias_items()
+        self._countries = dict(items)
+        # Longest alias first: at the leftmost match, the longest one wins.
+        self._pattern = re.compile(
+            r"\b(?:" + "|".join(re.escape(alias) for alias, _ in items) + r")\b")
 
     def __call__(self, sentence: str, title: str) -> CountryCode | None:
         for text in (sentence, title):
-            hit = self._scan(normalize_name(text))
-            if hit is not None:
-                return hit
+            m = self._pattern.search(normalize_name(text))
+            if m:
+                return self._countries[m.group()]
         return None
-
-    def _scan(self, text: str) -> CountryCode | None:
-        best: tuple[int, int, CountryCode] | None = None
-        for pattern, length, country in self._entries:
-            m = pattern.search(text)
-            if m and (best is None or (m.start(), -length) < (best[0], -best[1])):
-                best = (m.start(), length, country)
-        return best[2] if best else None
 
 
 def context_infer(sentence: str, title: str,
@@ -233,24 +227,21 @@ def context_infer(sentence: str, title: str,
 
 # --- cache and cascade -------------------------------------------------------
 
-@dataclass
-class GeoCacheEntry:
-    query: str
-    result: str | None  # iso3
-    stage: ResolverStage
-    fetched_at: str
-
-
 class GeoCache:
-    """Append-only JSONL cache keyed by normalized query.
+    """Append-only JSONL cache of geocoder answers, keyed by normalized query.
 
-    Concurrent reads are lock-free on the in-memory dict; appends are
-    serialized. No TTL: places rarely move countries.
+    A row holds an iso3 or null ("no result with a country"); kb hits,
+    context inferences and failed lookups are never rows, and rows of any
+    other stage (older caches) are ignored on load. Reads are lock-free on
+    the in-memory dict; appends are serialized. No TTL: places rarely move
+    countries.
     """
+
+    _STAGE = ResolverStage.REMOTE_GEOCODER.value
 
     def __init__(self, path: Path | None = None):
         self.path = path
-        self._entries: dict[str, GeoCacheEntry] = {}
+        self._answers: dict[str, str | None] = {}  # normalized query -> iso3
         self._lock = threading.Lock()
         if path is not None and path.exists():
             with open(path, encoding="utf-8") as fh:
@@ -258,33 +249,34 @@ class GeoCache:
                     if not line.strip():
                         continue
                     obj = json.loads(line)
-                    entry = GeoCacheEntry(obj["query"], obj["result"],
-                                          ResolverStage(obj["stage"]),
-                                          obj["fetched_at"])
-                    self._entries[entry.query] = entry
+                    if obj["stage"] == self._STAGE:
+                        self._answers[obj["query"]] = obj["result"]
 
-    def get(self, placename: str) -> GeoCacheEntry | None:
-        return self._entries.get(normalize_name(placename))
+    def get(self, placename: str, default=None):
+        """The cached iso3 or None, or ``default`` for an uncached name."""
+        return self._answers.get(normalize_name(placename), default)
 
-    def put(self, placename: str, result: str | None, stage: ResolverStage) -> None:
-        entry = GeoCacheEntry(
-            query=normalize_name(placename),
-            result=result,
-            stage=stage,
-            fetched_at=datetime.now(timezone.utc).isoformat(),
-        )
+    def put(self, placename: str, result: str | None) -> None:
+        query = normalize_name(placename)
+        row = json.dumps({
+            "query": query, "result": result, "stage": self._STAGE,
+            "fetched_at": datetime.now(timezone.utc).isoformat(),
+        }, sort_keys=True)
         with self._lock:
-            self._entries[entry.query] = entry
+            self._answers[query] = result
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({
-                        "query": entry.query, "result": entry.result,
-                        "stage": entry.stage.value, "fetched_at": entry.fetched_at,
-                    }, sort_keys=True) + "\n")
+                    fh.write(row + "\n")
+
+
+_UNCACHED = object()
 
 
 class CascadeResolver:
-    """kb_lookup -> remote_geocode -> context_infer, first success wins."""
+    """kb_lookup -> remote_geocode -> context_infer, first success wins.
+
+    ``failures`` counts names whose geocoder lookup failed after retries.
+    """
 
     def __init__(self, kb: KnowledgeBase, client: GeocoderClient,
                  registry: CountryRegistry, cache: GeoCache | None = None,
@@ -296,57 +288,52 @@ class CascadeResolver:
         self.cache = cache or GeoCache()
         self.inferencer = inferencer or AliasScanInferencer(registry)
         self.refresh = refresh
-        self._prefetched: dict[str, CountryCode | None] = {}  # normalized -> answer
+        self.failures = 0
+        self._lock = threading.Lock()
+        # normalized name -> (country or None, GAZETTEER or REMOTE_GEOCODER)
+        self._answers: dict[str, tuple[CountryCode | None, ResolverStage]] = {}
+
+    def _answer(self, name: str) -> tuple[CountryCode | None, ResolverStage]:
+        """What ``name`` alone resolves to: kb, then the cache (unless
+        refreshing), then the geocoder. Runs on prefetch's pool threads."""
+        country = kb_lookup(name, self.kb)
+        if country is not None:
+            return country, ResolverStage.GAZETTEER
+        stage = ResolverStage.REMOTE_GEOCODER
+        iso3 = _UNCACHED if self.refresh else self.cache.get(name, _UNCACHED)
+        if iso3 is not _UNCACHED:
+            return (self.registry.get_optional(iso3) if iso3 else None), stage
+        try:
+            country = remote_geocode(name, self.client, registry=self.registry)
+        except Exception as exc:
+            log.warning("geocoder failed for %r after retries: %s", name, exc)
+            with self._lock:
+                self.failures += 1
+            return None, stage
+        self.cache.put(name, country.iso3 if country else None)
+        return country, stage
 
     def prefetch(self, placenames: Iterable[str], workers: int) -> None:
-        """Geocode, ``workers`` at a time, the distinct names that would reach
-        the remote stage: those the cache (unless refreshing) and the kb do
-        not answer. ``resolve`` then uses these answers instead of querying
-        again; its cache writes, in its own order, are unchanged."""
-        seen: set[str] = set()
-        misses: dict[str, str] = {}  # normalized -> first raw spelling
+        """Answer the distinct names not answered yet, ``workers`` at a
+        time, so that geocoder requests overlap."""
+        todo: dict[str, str] = {}  # normalized -> first raw spelling
         for name in placenames:
             key = normalize_name(name)
-            if key in seen or key in self._prefetched:
-                continue
-            seen.add(key)
-            if not self.refresh and self.cache.get(name) is not None:
-                continue
-            if kb_lookup(name, self.kb) is None:
-                misses[key] = name
-        if not misses:
-            return
+            if key not in self._answers:
+                todo.setdefault(key, name)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            answers = pool.map(
-                lambda name: remote_geocode(name, self.client, registry=self.registry),
-                misses.values())
-            self._prefetched.update(zip(misses, answers))
+            self._answers.update(zip(todo, pool.map(self._answer, todo.values())))
 
     def resolve(self, placename: str, sentence: str = "",
                 title: str = "") -> PlaceMention:
-        if not self.refresh:
-            cached = self.cache.get(placename)
-            if cached is not None:
-                resolved = (self.registry.get_optional(cached.result)
-                            if cached.result else None)
-                return PlaceMention(placename, resolved, cached.stage)
-
-        country = kb_lookup(placename, self.kb)
-        stage = ResolverStage.GAZETTEER
-        if country is None:
-            key = normalize_name(placename)
-            if key in self._prefetched:
-                country = self._prefetched[key]
-            else:
-                country = remote_geocode(placename, self.client, registry=self.registry)
-            stage = ResolverStage.REMOTE_GEOCODER
+        key = normalize_name(placename)
+        if key not in self._answers:
+            self._answers[key] = self._answer(placename)
+        country, stage = self._answers[key]
         if country is None:
             country = context_infer(sentence, title, self.inferencer)
-            stage = ResolverStage.CONTEXT_INFERENCE
-        if country is None:
-            stage = ResolverStage.UNRESOLVED
-
-        self.cache.put(placename, country.iso3 if country else None, stage)
+            stage = (ResolverStage.CONTEXT_INFERENCE if country
+                     else ResolverStage.UNRESOLVED)
         return PlaceMention(placename, country, stage)

@@ -346,8 +346,8 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
                    if p.raw_span not in {q.raw_span for q in places}]
         spotted.append((cand, dates, places))
 
-    # Remote lookups overlap here, up to max_inflight; everything that
-    # writes (cache, rows) stays in candidate order below.
+    # Remote lookups overlap here, up to max_inflight; rows are built in
+    # candidate order below.
     resolver.prefetch((p.raw_span for _, _, places in spotted for p in places),
                       cfg.max_inflight)
     for cand, dates, places in spotted:
@@ -366,6 +366,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
         "candidates_resolved": resolved_candidates,
         "candidates_discarded": discarded,
         "resolved_rows": len(rows),
+        "geocoder_failures": resolver.failures,
     }
 
 

@@ -1,12 +1,17 @@
-"""Independent brute-force reference for event consolidation.
+"""Independent brute-force references.
 
-Deliberately naive: repeatedly merge any two clusters that share a country
-and contain at least one overlapping pair of records, until nothing merges.
-O(n^3)-ish, but obviously correct, which is the point.
+Deliberately naive, but obviously correct, which is the point:
+- consolidation repeatedly merges any two clusters that share a country
+  and contain at least one overlapping pair of records, until nothing
+  merges (O(n^3)-ish);
+- whole-text country inference searches for every alias on its own.
 """
 
 from __future__ import annotations
 
+import re
+
+from coverage_auditor.countries import CountryCode, normalize_name
 from coverage_auditor.ground_truth import SourceRecord
 
 
@@ -47,3 +52,18 @@ def oracle_consolidate(records: list[SourceRecord]) -> set[tuple]:
         )
         for cluster in clusters
     }
+
+
+def oracle_infer_country(sentence: str, title: str,
+                         alias_items: list[tuple[str, CountryCode]]) -> CountryCode | None:
+    """Sentence, then title: of the aliases found at a word boundary, the
+    leftmost, and of those the longest."""
+    for text in (normalize_name(sentence), normalize_name(title)):
+        hits = []
+        for alias, country in alias_items:
+            m = re.search(rf"\b{re.escape(alias)}\b", text)
+            if m:
+                hits.append((m.start(), -len(alias), country))
+        if hits:
+            return min(hits, key=lambda hit: hit[:2])[2]
+    return None

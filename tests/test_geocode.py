@@ -1,19 +1,30 @@
 import json
+import os
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coverage_auditor import geocode
+from coverage_auditor.countries import CountryRegistry, normalize_name
 from coverage_auditor.geocode import (AliasScanInferencer, CascadeResolver,
                                       GeoCache, GeocoderResult, KnowledgeBase,
                                       ReplayGeocoderClient, kb_lookup,
                                       remote_geocode)
-from coverage_auditor.places import ResolverStage
+from coverage_auditor.places import PlaceMention, ResolverStage
+from oracles import oracle_infer_country
 
 
 class CountingClient:
-    """Scripted geocoder that records every query it receives."""
+    """Scripted geocoder (case-insensitive, like a real one) that records
+    every query it receives."""
 
     def __init__(self, responses=None, fail_times=0):
-        self.responses = responses or {}
+        self.responses = {normalize_name(k): v for k, v in (responses or {}).items()}
         self.fail_times = fail_times
         self.calls = []
 
@@ -22,7 +33,21 @@ class CountingClient:
         if self.fail_times > 0:
             self.fail_times -= 1
             raise ConnectionError("boom")
-        return self.responses.get(query, [])
+        return self.responses.get(normalize_name(query), [])
+
+
+# A geocoder's answers: two names with a country, one without.
+GEOCODER_ANSWERS = {
+    "Coon Valley": [GeocoderResult("Coon Valley, WI", "USA", 0.45)],
+    "Springfield": [GeocoderResult("Springfield, Illinois", "USA", 0.6),
+                    GeocoderResult("Springfield, Tasmania", "AUS", 0.3)],
+    "Lake Nowhere": [GeocoderResult("Lake Nowhere", None, 0.9)],
+}
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(geocode.time, "sleep", lambda seconds: None)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +104,8 @@ def test_remote_retries_then_gives_up(registry):
     assert len(flaky.calls) == 3
 
     dead = CountingClient(fail_times=99)
-    assert remote_geocode("x", dead, retries=2, backoff=0.0,
-                          registry=registry) is None
+    with pytest.raises(ConnectionError):
+        remote_geocode("x", dead, retries=2, backoff=0.0, registry=registry)
     assert len(dead.calls) == 3
 
 
@@ -114,6 +139,48 @@ def test_alias_scan_respects_word_boundaries(registry):
     infer = AliasScanInferencer(registry)
     # "Indiana" must not resolve via the substring "India".
     assert infer("storms crossed Indiana overnight", "") is None
+
+
+# Words that contain an alias, or sit next to one, without being it.
+NEAR_MISSES = ["Indiana", "Sudanese", "Nigeria-based", "Guineas", "Chinatown",
+               "Jordanian", "Georgia", "Nigerien", "Congo", "Dominican"]
+FILLER = ["floods", "in", "the", "north", "of", "and", "hit", "2019"]
+PUNCTUATION = [",", ".", "-", "'", "(", ")", ";", "\u2019"]
+
+
+@pytest.fixture(scope="module", params=["bundled", "nested"])
+def scan_registry(request, registry, tmp_path_factory):
+    """The bundled registry, whose nested aliases ("united states",
+    "united states of america") agree on the country, and one whose nested
+    aliases disagree, so that only longest-first ordering gives the
+    oracle's answers."""
+    if request.param == "bundled":
+        return registry
+    tmp = tmp_path_factory.mktemp("nested")
+    (tmp / "registry.tsv").write_text(
+        "GIN\tGuinea\tAfrica\tGN\nGNB\tGuinea-Bissau\tAfrica\tGW\n"
+        "PNG\tPapua New Guinea\tOceania\tPG\nSDN\tSudan\tAfrica\tSD\n"
+        "SSD\tSouth Sudan\tAfrica\tSS\n")
+    (tmp / "aliases.tsv").write_text(
+        "Guinea Bissau Republic\tGIN\nSouth\tSDN\nNew Guinea\tGNB\n")
+    return CountryRegistry.load(tmp / "registry.tsv", tmp / "aliases.tsv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_alias_scan_matches_brute_force_oracle(scan_registry, data):
+    aliases = [alias for alias, _ in scan_registry.alias_items()]
+    words = sorted({word for alias in aliases for word in alias.split()})
+    token = st.one_of(st.sampled_from(aliases), st.sampled_from(words),
+                      st.sampled_from(NEAR_MISSES), st.sampled_from(FILLER),
+                      st.sampled_from(PUNCTUATION))
+    case = st.sampled_from([str, str.upper, str.title, str.capitalize])
+    text = st.lists(st.tuples(token, case, st.sampled_from([" ", "", " - ", ", "])),
+                    max_size=8).map(
+        lambda parts: "".join(change(tok) + sep for tok, change, sep in parts))
+    sentence, title = data.draw(text), data.draw(text)
+    assert (AliasScanInferencer(scan_registry)(sentence, title)
+            == oracle_infer_country(sentence, title, scan_registry.alias_items()))
 
 
 # --- cascade and cache ------------------------------------------------------------
@@ -191,10 +258,134 @@ def test_cache_file_is_append_only_jsonl(registry, kb, tmp_path):
     cache_path = tmp_path / "geocache.jsonl"
     resolver = make_resolver(registry, kb, CountingClient(),
                              cache=GeoCache(cache_path))
-    resolver.resolve("Jacksonville")
+    resolver.resolve("Jacksonville")  # a kb hit: not a geocoder answer
     resolver.resolve("Atlantis")
     lines = [json.loads(l) for l in cache_path.read_text().splitlines()]
-    assert [l["query"] for l in lines] == ["jacksonville", "atlantis"]
-    assert lines[0]["result"] == "USA"
-    assert lines[1]["result"] is None
+    assert [l["query"] for l in lines] == ["atlantis"]
+    assert lines[0]["result"] is None
+    assert lines[0]["stage"] == "REMOTE_GEOCODER"
     assert all("fetched_at" in l for l in lines)
+
+
+def test_context_inference_is_per_mention(registry, kb, tmp_path):
+    resolver = make_resolver(registry, kb, CountingClient(),
+                             cache=GeoCache(tmp_path / "geocache.jsonl"))
+    haiti = resolver.resolve("Caribbean", "floods struck Haiti", "")
+    cuba = resolver.resolve("Caribbean", "floods struck Cuba", "")
+    assert haiti.resolved.iso3 == "HTI"
+    assert cuba.resolved.iso3 == "CUB"
+    assert cuba.resolver_stage is ResolverStage.CONTEXT_INFERENCE
+
+
+def test_failed_lookup_is_not_cached(registry, kb, tmp_path, no_backoff):
+    cache_path = tmp_path / "geocache.jsonl"
+    down = make_resolver(registry, kb, CountingClient(fail_times=99),
+                         cache=GeoCache(cache_path))
+    mention = down.resolve("Coon Valley", "floods in the valley", "")
+    assert mention.resolver_stage is ResolverStage.UNRESOLVED
+    assert not cache_path.exists() or "coon valley" not in cache_path.read_text()
+    assert down.failures == 1
+
+    client = CountingClient(GEOCODER_ANSWERS)
+    back_up = make_resolver(registry, kb, client, cache=GeoCache(cache_path))
+    mention = back_up.resolve("Coon Valley", "floods in the valley", "")
+    assert mention.resolved.iso3 == "USA"
+    assert mention.resolver_stage is ResolverStage.REMOTE_GEOCODER
+    assert client.calls == ["Coon Valley"]
+    assert back_up.failures == 0
+
+
+def test_cache_rows_other_than_geocoder_answers_are_ignored(registry, kb, tmp_path):
+    cache_path = tmp_path / "geocache.jsonl"
+    cache_path.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"query": "caribbean", "result": "HTI", "stage": "CONTEXT_INFERENCE",
+         "fetched_at": "2020-01-01T00:00:00+00:00"},
+        {"query": "coon valley", "result": None, "stage": "UNRESOLVED",
+         "fetched_at": "2020-01-01T00:00:00+00:00"},
+    ]))
+    client = CountingClient(GEOCODER_ANSWERS)
+    resolver = make_resolver(registry, kb, client, cache=GeoCache(cache_path))
+    assert resolver.resolve("Caribbean", "floods struck Cuba", "").resolved.iso3 == "CUB"
+    assert resolver.resolve("Coon Valley").resolved.iso3 == "USA"
+    assert client.calls == ["Caribbean", "Coon Valley"]
+
+
+def test_kb_is_consulted_before_the_cache(registry, kb, tmp_path):
+    cache_path = tmp_path / "geocache.jsonl"
+    GeoCache(cache_path).put("Jacksonville", "CAN")
+    client = CountingClient()
+    resolver = make_resolver(registry, kb, client, cache=GeoCache(cache_path))
+    mention = resolver.resolve("Jacksonville")
+    assert mention.resolved.iso3 == "USA"
+    assert mention.resolver_stage is ResolverStage.GAZETTEER
+    assert client.calls == []
+
+
+class HalfDownClient:
+    """Answers "Place <even>" with Bolivia; fails on "Place <odd>"."""
+
+    def geocode(self, query):
+        if int(query.split()[1]) % 2:
+            raise ConnectionError("boom")
+        return [GeocoderResult(query, "BOL", 0.5)]
+
+
+def test_prefetch_failures_are_counted_under_contention(registry, kb, tmp_path,
+                                                        no_backoff):
+    names = [f"Place {i}" for i in range(400)]
+    cache_path = tmp_path / "geocache.jsonl"
+    resolver = make_resolver(registry, kb, HalfDownClient(),
+                             cache=GeoCache(cache_path))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=resolver.prefetch,
+                                  args=(names, 4 * (os.cpu_count() or 1)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert resolver.failures == len(names) // 2
+    rows = [json.loads(line) for line in cache_path.read_text().splitlines()]
+    assert sorted(r["query"] for r in rows) == sorted(
+        normalize_name(name) for name in names[::2])
+    assert {r["result"] for r in rows} == {"BOL"}
+
+
+# Names the kb answers, names only the geocoder answers, and names only
+# context can place, in sentences and titles that name conflicting countries.
+MENTION_NAMES = ["Jacksonville", "JACKSONVILLE", "Japan", "Coon Valley",
+                 "coon valley", "Springfield", "Lake Nowhere", "Caribbean",
+                 "Kyushu", "West Africa"]
+MENTION_SENTENCES = ["floods struck Haiti", "floods struck Cuba",
+                     "rains hit Japan and then Cuba", "the river rose", ""]
+MENTION_TITLES = ["2019 Pakistan floods", "Floods in Haiti", ""]
+mention_lists = st.lists(st.tuples(st.sampled_from(MENTION_NAMES),
+                                   st.sampled_from(MENTION_SENTENCES),
+                                   st.sampled_from(MENTION_TITLES)),
+                         min_size=1, max_size=12)
+
+
+def resolve_in_order(registry, kb, cache, mentions, order, prefetch=()):
+    resolver = make_resolver(registry, kb, CountingClient(GEOCODER_ANSWERS),
+                             cache=cache)
+    resolver.prefetch(prefetch, workers=2)
+    out: dict[int, PlaceMention] = {}
+    for i in order:
+        out[i] = resolver.resolve(*mentions[i])
+    return [out[i] for i in range(len(mentions))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mentions=mention_lists, data=st.data())
+def test_resolution_ignores_order_and_cache_state(registry, kb, mentions, data):
+    indices = range(len(mentions))
+    expected = resolve_in_order(registry, kb, GeoCache(), mentions, indices)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "geocache.jsonl"
+        for _ in range(2):  # a cold cache file, then the one it left behind
+            order = data.draw(st.permutations(indices))
+            prefetch = data.draw(st.lists(st.sampled_from(MENTION_NAMES), max_size=4))
+            assert resolve_in_order(registry, kb, GeoCache(path), mentions,
+                                    order, prefetch) == expected

@@ -9,10 +9,12 @@ import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.error import HTTPError
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+from coverage_auditor.cli import main
 from coverage_auditor.countries import normalize_name
 from coverage_auditor.geocode import (CascadeResolver, GeocoderResult,
                                       KnowledgeBase, LiveGeocoderClient,
@@ -129,8 +131,9 @@ def test_alpha2_codes_map_through_the_registry(serve, registry):
 def test_http_error_is_retried_then_skipped(serve, registry):
     srv = serve({}, status=500)
     client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
-    assert remote_geocode("Anywhere", client, retries=2, backoff=0.0,
-                          registry=registry) is None
+    with pytest.raises(HTTPError):
+        remote_geocode("Anywhere", client, retries=2, backoff=0.0,
+                       registry=registry)
     assert srv.queries == ["Anywhere"] * 3
 
 
@@ -195,18 +198,21 @@ def test_extract_requests_each_distinct_miss_once(serve, monkeypatch, tmp_path):
     srv = serve(_e2e_answers())
     monkeypatch.setenv("COVAUD_GEOCODER_URL", srv.endpoint)
     # With refresh, the cache cannot hide repeated requests.
-    _run_extract(tmp_path, "live", corpus=corpus, geocoder="live", min_delay_ms=0,
-                 max_inflight=4, refresh_cache=True)
+    out = _run_extract(tmp_path, "live", corpus=corpus, geocoder="live",
+                       min_delay_ms=0, max_inflight=4, refresh_cache=True)
 
     cache_rows = [json.loads(line) for line in
                   (tmp_path / "live" / "cache" / "geocache.jsonl").read_text().splitlines()]
-    miss_rows = [r["query"] for r in cache_rows if r["stage"] != "GAZETTEER"]
     requested = Counter(normalize_name(q) for q in srv.queries)
-    assert set(requested) == set(miss_rows)
+    assert set(requested) == {r["query"] for r in cache_rows}
     assert set(requested.values()) == {1}
-    # Misses are mentioned more than once, so the dedupe was exercised.
-    assert set(miss_rows) == {"kyushu", "coon valley", "paris"}
-    assert len(miss_rows) > len(set(miss_rows))
+    assert set(requested) == {"kyushu", "coon valley", "paris"}
+    # Each miss is mentioned by more than one candidate, so the dedupe
+    # was exercised.
+    texts = [normalize_name(json.loads(line)["text"]) for line in
+             (out / "candidates.jsonl").read_text().splitlines()]
+    for name in requested:
+        assert sum(name in text for text in texts) > 1
 
 
 def test_resolved_is_identical_across_max_inflight(serve, monkeypatch, tmp_path):
@@ -218,3 +224,24 @@ def test_resolved_is_identical_across_max_inflight(serve, monkeypatch, tmp_path)
     resolved = [(out / "resolved.jsonl").read_bytes() for out in outs]
     assert b'"place_stage":"REMOTE_GEOCODER"' in resolved[0]
     assert resolved[0] == resolved[1] == resolved[2]
+
+
+def test_outage_is_counted_and_not_cached(serve, monkeypatch, tmp_path, capsys):
+    down = serve({}, status=503)
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", down.endpoint)
+    out = _run_extract(tmp_path, "live", geocoder="live", min_delay_ms=0,
+                       max_inflight=4)
+    cache_path = tmp_path / "live" / "cache" / "geocache.jsonl"
+    assert not cache_path.exists()
+    assert sorted(set(down.queries)) == ["Coon Valley", "Kyushu"]
+    assert main(["report", "--out", str(out)]) == 0
+    assert "geocoder_failures=2" in capsys.readouterr().out
+
+    # The next run asks again, and matches a run that never saw the outage.
+    up = serve(_e2e_answers())
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", up.endpoint)
+    out = _run_extract(tmp_path, "rerun", geocoder="live", min_delay_ms=0,
+                       cache_dir=cache_path.parent)
+    assert sorted(up.queries) == ["Coon Valley", "Kyushu"]
+    assert ((out / "resolved.jsonl").read_bytes()
+            == (_run_extract(tmp_path, "replay") / "resolved.jsonl").read_bytes())
