@@ -29,14 +29,14 @@ DEFAULT_RELEVANCE_THRESHOLD = 0.40
 RelevanceScorer = Callable[[str], float]
 
 
-@dataclass
+@dataclass(slots=True)
 class Citation:
     paragraph_index: int
     offset: int  # character offset within the stripped paragraph text
     url: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Article:
     article_id: str
     title: str
@@ -44,7 +44,7 @@ class Article:
     citations: list[Citation] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateSentence:
     article_id: str
     title: str
@@ -84,7 +84,7 @@ class CandidateSentence:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ArticleReject:
     locator: str  # line number or page title
     reason: str

@@ -23,7 +23,7 @@ class YearSource(str, Enum):
     UNRESOLVED = "UNRESOLVED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateMention:
     raw_span: str
     day: int | None = None

@@ -10,6 +10,7 @@ name alone leaves without a country, and is never cached.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -31,7 +32,7 @@ DEFAULT_ENDPOINT_ENV = "COVAUD_GEOCODER_URL"
 DEFAULT_ENDPOINT = "https://nominatim.openstreetmap.org/search"
 
 
-@dataclass
+@dataclass(slots=True)
 class GeocoderResult:
     display_name: str
     iso3: str | None
@@ -39,6 +40,8 @@ class GeocoderResult:
 
 
 class GeocoderClient(Protocol):
+    identity: str  # which geocoder answers: the endpoint, or replay file digest
+
     def geocode(self, query: str) -> list[GeocoderResult]: ...
 
 
@@ -96,11 +99,11 @@ class ReplayGeocoderClient:
     """Serves recorded responses from a JSONL file; unknown queries get []."""
 
     def __init__(self, path: Path):
+        data = Path(path).read_bytes()
+        self.identity = "replay:" + hashlib.sha256(data).hexdigest()
         self._responses: dict[str, list[GeocoderResult]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        for line in data.splitlines():
+            if line.strip():
                 obj = json.loads(line)
                 self._responses[normalize_name(obj["query"])] = [
                     GeocoderResult(r["display_name"], r.get("iso3"),
@@ -126,6 +129,7 @@ class LiveGeocoderClient:
         import os
         self.endpoint = (endpoint or os.environ.get(DEFAULT_ENDPOINT_ENV)
                          or DEFAULT_ENDPOINT)
+        self.identity = self.endpoint
         self.min_delay = min_delay_ms / 1000.0
         self.timeout = timeout
         self.registry = registry
@@ -228,7 +232,8 @@ def context_infer(sentence: str, title: str,
 # --- cache and cascade -------------------------------------------------------
 
 class GeoCache:
-    """Append-only JSONL cache of geocoder answers, keyed by normalized query.
+    """Append-only JSONL cache of one geocoder's answers (a file per
+    geocoder, see ``geocache_path``), keyed by normalized query.
 
     A row holds an iso3 or null ("no result with a country"); kb hits,
     context inferences and failed lookups are never rows, and rows of any
@@ -267,6 +272,14 @@ class GeoCache:
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(row + "\n")
+
+
+def geocache_path(cache_dir: Path, geocoder_identity: str) -> Path:
+    """The cache file of one geocoder, named by a digest of its identity,
+    so that one endpoint's or replay file's answers never answer for
+    another's."""
+    digest = hashlib.sha256(geocoder_identity.encode("utf-8")).hexdigest()[:16]
+    return cache_dir / f"geocache-{digest}.jsonl"
 
 
 _UNCACHED = object()

@@ -28,7 +28,7 @@ class Source(str, Enum):
     DFO = "dfo"
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceRecord:
     source_id: Source
     country_raw: str
@@ -42,7 +42,7 @@ class SourceRecord:
     country: CountryCode | None = None  # set by resolve_countries()
 
 
-@dataclass
+@dataclass(slots=True)
 class RejectedRow:
     line_no: int
     reason: str
@@ -56,7 +56,7 @@ class ParseResult:
     excluded: list[RejectedRow]  # rows dropped by source-specific filters
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsolidatedEvent:
     event_id: str
     country: CountryCode

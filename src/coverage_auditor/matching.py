@@ -31,7 +31,7 @@ class Strategy(str, Enum):
     YM = "ym"
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchResult:
     event_id: str
     candidate: ResolvedCandidate

@@ -2,8 +2,11 @@
 
 Every stage persists its output as JSON Lines in the run directory, so a
 run can resume from intermediates: stages whose output file already exists
-are skipped. With the replay geocoder the whole pipeline is deterministic,
-and identical config + inputs produce byte-identical artifacts.
+are skipped. Within one process a stage also hands the objects it wrote
+from to the stages after it, so an artifact is decoded only when the stage
+that writes it did not run in this process. With the replay geocoder the
+whole pipeline is deterministic, and identical config + inputs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from .corpus import (CandidateSentence, builtin_scorer, constant_scorer,
 from .countries import CountryRegistry
 from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
-                      LiveGeocoderClient, ReplayGeocoderClient)
+                      LiveGeocoderClient, ReplayGeocoderClient, geocache_path)
 from .ground_truth import (ConsolidatedEvent, Source, consolidate,
                            filter_multi_source, impute_end_date,
-                           parse_source_records, resolve_countries)
+                           parse_source_records, resolve_countries,
+                           venn_counts)
 from .matching import EventIndex, Strategy, match_all
 from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
                      expand_candidates, extract_placenames)
@@ -41,6 +45,20 @@ ARTIFACTS = {
     "extract": "resolved.jsonl",
     "match": "matches.jsonl",
     "analyze": "analysis.json",
+}
+
+# Stage results handed downstream, by name, and the artifact each is
+# written to; and the results each stage reads.
+_RESULT_ARTIFACTS = {
+    "events": ARTIFACTS["consolidate"],
+    "candidates": ARTIFACTS["scan"],
+    "resolved": ARTIFACTS["extract"],
+    "matches": ARTIFACTS["match"],
+}
+_INPUTS = {
+    "extract": ("candidates",),
+    "match": ("events", "resolved"),
+    "analyze": ("events", "matches", "candidates"),
 }
 
 
@@ -204,6 +222,8 @@ class PipelineConfig:
 
 
 class _EmptyClient:
+    identity = "replay:"
+
     def geocode(self, query: str):
         return []
 
@@ -242,7 +262,28 @@ def file_digest(path: Path) -> str:
 
 # --- stages --------------------------------------------------------------
 
-def stage_consolidate(cfg: PipelineConfig, out_dir: Path) -> dict:
+# Each stage takes ``held``, the results earlier stages of this run handed
+# over, and adds its own result to it.
+
+def _input(held: dict, name: str, out_dir: Path,
+           registry: CountryRegistry | None = None) -> list:
+    """An earlier stage's result: the objects that stage handed over in
+    this process, or else its artifact decoded (and kept in ``held`` for
+    the stages after this one)."""
+    if name not in held:
+        rows = read_jsonl(out_dir / _RESULT_ARTIFACTS[name])
+        if name == "events":
+            rows = [ConsolidatedEvent.from_json_dict(d, registry) for d in rows]
+        elif name == "candidates":
+            rows = [CandidateSentence.from_json_dict(d) for d in rows]
+        elif name == "resolved":
+            rows = [ResolvedCandidate.from_json_dict(d, registry) for d in rows]
+        held[name] = rows
+    return held[name]
+
+
+def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
+                      held: dict | None = None) -> dict:
     registry = cfg.make_registry()
     records = []
     rejects = []
@@ -273,16 +314,20 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     write_jsonl(out_dir / "events.jsonl", (e.to_json_dict() for e in kept))
     write_jsonl(out_dir / "gt_rejects.jsonl", rejects + excluded)
-    return {
+    if held is not None:
+        held["events"] = kept
+    counts = {
         "records_parsed": len(records),
         "records_rejected": len(rejects),
         "records_excluded": len(excluded),
         "events_consolidated": len(events),
         "events_multi_source": len(kept),
     }
+    counts.update((f"venn_{key}", n) for key, n in venn_counts(events).items())
+    return counts
 
 
-def stage_scan(cfg: PipelineConfig, out_dir: Path) -> dict:
+def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
     scorer = cfg.make_scorer()
     article_rejects = []
     candidates: list[CandidateSentence] = []
@@ -296,6 +341,8 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path) -> dict:
     retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold)
     retained.sort(key=lambda c: (c.article_id, c.paragraph_index, c.sentence_index))
     write_jsonl(out_dir / "candidates.jsonl", (c.to_json_dict() for c in retained))
+    if held is not None:
+        held["candidates"] = retained
     return {
         "articles": n_articles,
         "article_rejects": len(article_rejects),
@@ -316,58 +363,66 @@ def _open_maybe_compressed(path: Path):
     return open(path, "rb")
 
 
-def stage_extract(cfg: PipelineConfig, out_dir: Path) -> dict:
+def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
+    held = {} if held is None else held
     registry = cfg.make_registry()
     gazetteer = Gazetteer.load(cfg.gazetteer_path, registry)
     spotter = GazetteerSpotter(gazetteer)
     kb = KnowledgeBase.load(registry, cfg.kb_path)
+    client = cfg.make_geocoder_client(registry)
     cache_dir = cfg.cache_dir or _env_cache_dir()
     cache_path = None
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_path = cache_dir / "geocache.jsonl"
-    resolver = CascadeResolver(kb, cfg.make_geocoder_client(registry), registry,
-                               cache=GeoCache(cache_path),
+        cache_path = geocache_path(cache_dir, client.identity)
+    resolver = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path),
                                refresh=cfg.refresh_cache)
 
-    rows = []
-    resolved_candidates = 0
-    discarded = 0
-    candidates = [CandidateSentence.from_json_dict(d)
-                  for d in read_jsonl(out_dir / "candidates.jsonl")]
-
+    candidates = _input(held, "candidates", out_dir)
+    titles: dict[str, tuple] = {}  # title -> its date mentions and places
     spotted = []
     for cand in candidates:
-        mentions = find_dates(cand.text) + find_dates(cand.title)
+        if cand.title not in titles:
+            titles[cand.title] = (find_dates(cand.title),
+                                  extract_placenames(cand.title, spotter))
+        title_dates, title_places = titles[cand.title]
         dates = [infer_year(m, cand.text, cand.paragraph_years, cand.title)
-                 for m in mentions]
+                 for m in find_dates(cand.text) + title_dates]
         places = extract_placenames(cand.text, spotter)
-        places += [p for p in extract_placenames(cand.title, spotter)
-                   if p.raw_span not in {q.raw_span for q in places}]
+        spans = {p.raw_span for p in places}
+        places += [p for p in title_places if p.raw_span not in spans]
         spotted.append((cand, dates, places))
 
     # Remote lookups overlap here, up to max_inflight; rows are built in
     # candidate order below.
     resolver.prefetch((p.raw_span for _, _, places in spotted for p in places),
                       cfg.max_inflight)
+    resolved = []
+    resolved_candidates = 0
+    discarded = dict.fromkeys(["no_date", "no_place", "no_date_no_place"], 0)
     for cand, dates, places in spotted:
         resolved_places = [resolver.resolve(p.raw_span, cand.text, cand.title)
                            for p in places]
         expanded = expand_candidates(cand, dates, resolved_places)
         if expanded:
             resolved_candidates += 1
-            rows.extend(rc.to_json_dict() for rc in expanded)
-        else:
-            discarded += 1
+            resolved.extend(expanded)
+            continue
+        no_date = not any(d.is_matchable for d in dates)
+        no_place = all(p.resolved is None for p in resolved_places)
+        discarded["no_date_no_place" if no_date and no_place
+                  else "no_date" if no_date else "no_place"] += 1
 
-    write_jsonl(out_dir / "resolved.jsonl", rows)
-    return {
+    write_jsonl(out_dir / "resolved.jsonl", (rc.to_json_dict() for rc in resolved))
+    held["resolved"] = resolved
+    counts = {
         "candidates_in": len(candidates),
         "candidates_resolved": resolved_candidates,
-        "candidates_discarded": discarded,
-        "resolved_rows": len(rows),
+        "resolved_rows": len(resolved),
         "geocoder_failures": resolver.failures,
     }
+    counts.update((f"discarded_{reason}", n) for reason, n in discarded.items())
+    return counts
 
 
 def _env_cache_dir() -> Path | None:
@@ -375,30 +430,29 @@ def _env_cache_dir() -> Path | None:
     return Path(value) if value else None
 
 
-def stage_match(cfg: PipelineConfig, out_dir: Path) -> dict:
+def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
+    held = {} if held is None else held
     registry = cfg.make_registry()
-    events = [ConsolidatedEvent.from_json_dict(d, registry)
-              for d in read_jsonl(out_dir / "events.jsonl")]
-    index = EventIndex(events)
-    resolved = [ResolvedCandidate.from_json_dict(d, registry)
-                for d in read_jsonl(out_dir / "resolved.jsonl")]
+    index = EventIndex(_input(held, "events", out_dir, registry))
+    resolved = _input(held, "resolved", out_dir, registry)
     strategy = Strategy(cfg.strategy)
     matches = match_all(resolved, index, strategy, cfg.window_days)
     rows = sorted((m.to_json_dict() for m in matches),
                   key=lambda d: (d["event_id"], d["article_id"],
                                  d["sentence_index"], d["matched_date"]))
     write_jsonl(out_dir / "matches.jsonl", rows)
+    held["matches"] = rows
     return {
         "matches": len(rows),
         "events_matched": len({r["event_id"] for r in rows}),
     }
 
 
-def stage_analyze(cfg: PipelineConfig, out_dir: Path) -> dict:
+def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
+    held = {} if held is None else held
     registry = cfg.make_registry()
-    events = [ConsolidatedEvent.from_json_dict(d, registry)
-              for d in read_jsonl(out_dir / "events.jsonl")]
-    match_rows = read_jsonl(out_dir / "matches.jsonl")
+    events = _input(held, "events", out_dir, registry)
+    match_rows = _input(held, "matches", out_dir)
     indicators = load_indicators(cfg.indicators)
     matched_ids = {r["event_id"] for r in match_rows}
 
@@ -411,11 +465,8 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path) -> dict:
         _write_axis_csv(out_dir / f"analysis_{axis}.csv", axes_out[axis])
 
     matched_keys = {(r["article_id"], r["sentence_index"]) for r in match_rows}
-    matched_candidates = [
-        CandidateSentence.from_json_dict(d)
-        for d in read_jsonl(out_dir / "candidates.jsonl")
-        if (d["article_id"], d["sentence_index"]) in matched_keys
-    ]
+    matched_candidates = [c for c in _input(held, "candidates", out_dir)
+                          if (c.article_id, c.sentence_index) in matched_keys]
     domains, skipped = extract_reference_domains(matched_candidates,
                                                  cfg.top_domains)
 
@@ -459,8 +510,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
     """Execute the pipeline, returning the run manifest.
 
     With ``resume`` (the default), stages whose artifact already exists in
-    ``out_dir`` are skipped. A stage failure stops the run; the manifest is
-    still written with the failed stage marked.
+    ``out_dir`` are skipped. Each stage that runs hands its result to the
+    later stages of this run in memory; a later stage decodes an artifact
+    only when the stage that writes it did not run. A stage failure stops
+    the run; the manifest is still written with the failed stage marked.
     """
     stages = stages or list(STAGES)
     for stage in stages:
@@ -480,9 +533,12 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
             manifest["input_digests"][str(path)] = file_digest(path)
 
     failure: StageError | None = None
-    for stage in STAGES:
-        if stage not in stages:
-            continue
+    held: dict[str, list] = {}  # stage results handed downstream
+    todo = [stage for stage in STAGES if stage in stages]
+    for i, stage in enumerate(todo):
+        # Drop each result once the last stage of this run that reads it is done.
+        wanted = {name for later in todo[i:] for name in _INPUTS.get(later, ())}
+        held = {name: value for name, value in held.items() if name in wanted}
         artifact = out_dir / ARTIFACTS[stage]
         if resume and artifact.exists():
             manifest["stages"].append({"name": stage, "status": "skipped",
@@ -490,7 +546,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
             continue
         started = time.perf_counter()
         try:
-            counts = _STAGE_FUNCS[stage](cfg, out_dir)
+            counts = _STAGE_FUNCS[stage](cfg, out_dir, held)
         except (ConfigError, InputError):
             raise
         except Exception as exc:

@@ -26,14 +26,14 @@ class ResolverStage(str, Enum):
     UNRESOLVED = "UNRESOLVED"
 
 
-@dataclass
+@dataclass(slots=True)
 class PlaceMention:
     raw_span: str
     resolved: CountryCode | None = None
     resolver_stage: ResolverStage = ResolverStage.UNRESOLVED
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolvedCandidate:
     """One (country, date) reading of a candidate sentence, keyed by the
     candidate's (article_id, sentence_index)."""

@@ -18,7 +18,7 @@ from coverage_auditor.cli import main
 from coverage_auditor.countries import normalize_name
 from coverage_auditor.geocode import (CascadeResolver, GeocoderResult,
                                       KnowledgeBase, LiveGeocoderClient,
-                                      remote_geocode)
+                                      geocache_path, remote_geocode)
 from coverage_auditor.pipeline import PipelineConfig, run_pipeline
 from coverage_auditor.places import ResolverStage
 
@@ -201,8 +201,8 @@ def test_extract_requests_each_distinct_miss_once(serve, monkeypatch, tmp_path):
     out = _run_extract(tmp_path, "live", corpus=corpus, geocoder="live",
                        min_delay_ms=0, max_inflight=4, refresh_cache=True)
 
-    cache_rows = [json.loads(line) for line in
-                  (tmp_path / "live" / "cache" / "geocache.jsonl").read_text().splitlines()]
+    cache_path = geocache_path(tmp_path / "live" / "cache", srv.endpoint)
+    cache_rows = [json.loads(line) for line in cache_path.read_text().splitlines()]
     requested = Counter(normalize_name(q) for q in srv.queries)
     assert set(requested) == {r["query"] for r in cache_rows}
     assert set(requested.values()) == {1}
@@ -227,21 +227,24 @@ def test_resolved_is_identical_across_max_inflight(serve, monkeypatch, tmp_path)
 
 
 def test_outage_is_counted_and_not_cached(serve, monkeypatch, tmp_path, capsys):
-    down = serve({}, status=503)
-    monkeypatch.setenv("COVAUD_GEOCODER_URL", down.endpoint)
+    srv = serve({}, status=503)
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", srv.endpoint)
     out = _run_extract(tmp_path, "live", geocoder="live", min_delay_ms=0,
                        max_inflight=4)
-    cache_path = tmp_path / "live" / "cache" / "geocache.jsonl"
-    assert not cache_path.exists()
-    assert sorted(set(down.queries)) == ["Coon Valley", "Kyushu"]
+    cache_dir = tmp_path / "live" / "cache"
+    assert list(cache_dir.iterdir()) == []
+    assert sorted(set(srv.queries)) == ["Coon Valley", "Kyushu"]
     assert main(["report", "--out", str(out)]) == 0
     assert "geocoder_failures=2" in capsys.readouterr().out
 
-    # The next run asks again, and matches a run that never saw the outage.
-    up = serve(_e2e_answers())
-    monkeypatch.setenv("COVAUD_GEOCODER_URL", up.endpoint)
+    # The same endpoint comes back up: the next run asks again, and matches
+    # a run that never saw the outage.
+    srv.status = 200
+    srv.answers = {normalize_name(k): v for k, v in _e2e_answers().items()}
+    srv.queries.clear()
     out = _run_extract(tmp_path, "rerun", geocoder="live", min_delay_ms=0,
-                       cache_dir=cache_path.parent)
-    assert sorted(up.queries) == ["Coon Valley", "Kyushu"]
+                       cache_dir=cache_dir)
+    assert sorted(srv.queries) == ["Coon Valley", "Kyushu"]
+    assert geocache_path(cache_dir, srv.endpoint).exists()
     assert ((out / "resolved.jsonl").read_bytes()
             == (_run_extract(tmp_path, "replay") / "resolved.jsonl").read_bytes())

@@ -1,0 +1,180 @@
+"""run_pipeline: in-process handoff between stages, resume, manifest counts
+and the per-geocoder cache file, on the hermetic e2e fixture."""
+
+import json
+import shutil
+from collections import Counter
+
+import pytest
+
+from coverage_auditor import pipeline
+from coverage_auditor.cli import main
+from coverage_auditor.pipeline import STAGES, ARTIFACTS, PipelineConfig, run_pipeline
+from coverage_auditor.places import GazetteerSpotter
+from conftest import FIXTURES
+
+E2E = FIXTURES / "e2e"
+
+
+@pytest.fixture(autouse=True)
+def _no_env_cache(monkeypatch):
+    monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+
+
+def _outputs(out):
+    """Every file a run wrote except its manifest, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+def _statuses(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return [s["status"] for s in manifest["stages"]]
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fresh") / "run"
+    assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("k", range(len(STAGES)))
+def test_resumed_run_equals_fresh_run(fresh, tmp_path, k):
+    out = tmp_path / "run"
+    shutil.copytree(fresh, out)
+    for stage in STAGES[k:]:
+        (out / ARTIFACTS[stage]).unlink()
+    assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
+    assert _statuses(out) == ["skipped"] * k + ["ran"] * (len(STAGES) - k)
+    assert _outputs(out) == _outputs(fresh)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_single_stage_command_equals_fresh_run(fresh, tmp_path, stage):
+    out = tmp_path / "run"
+    shutil.copytree(fresh, out)
+    (out / ARTIFACTS[stage]).unlink()
+    assert main([stage, "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
+    assert _statuses(out) == ["ran"]
+    assert _outputs(out) == _outputs(fresh)
+
+
+@pytest.fixture()
+def read_calls(monkeypatch):
+    """File names pipeline.read_jsonl is called with, in call order."""
+    calls = []
+    read = pipeline.read_jsonl
+
+    def recording(path):
+        calls.append(path.name)
+        return read(path)
+    monkeypatch.setattr(pipeline, "read_jsonl", recording)
+    return calls
+
+
+def test_fresh_run_never_reads_an_artifact(read_calls, tmp_path):
+    run_pipeline(PipelineConfig.from_ini(E2E / "config.ini"), tmp_path / "run")
+    assert read_calls == []
+
+
+def test_resume_decodes_each_missing_result_once(fresh, read_calls, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(fresh, out)
+    for stage in ("match", "analyze"):
+        (out / ARTIFACTS[stage]).unlink()
+    run_pipeline(PipelineConfig.from_ini(E2E / "config.ini"), out)
+    # events.jsonl serves match and analyze; matches.jsonl is never read.
+    assert sorted(read_calls) == ["candidates.jsonl", "events.jsonl", "resolved.jsonl"]
+
+
+def test_extract_finds_dates_and_places_once_per_title(monkeypatch, tmp_path):
+    dates, spots = Counter(), Counter()
+    find_dates, spot = pipeline.find_dates, GazetteerSpotter.__call__
+
+    def counting_find_dates(text):
+        dates[text] += 1
+        return find_dates(text)
+
+    def counting_spot(self, text):
+        spots[text] += 1
+        return spot(self, text)
+    monkeypatch.setattr(pipeline, "find_dates", counting_find_dates)
+    monkeypatch.setattr(GazetteerSpotter, "__call__", counting_spot)
+    out = tmp_path / "run"
+    run_pipeline(PipelineConfig.from_ini(E2E / "config.ini"), out,
+                 stages=["scan", "extract"])
+
+    candidates = [json.loads(line) for line in
+                  (out / "candidates.jsonl").read_text().splitlines()]
+    titles = {c["title"] for c in candidates}
+    assert len(titles) < len(candidates)  # some article has several candidates
+    for counter in (dates, spots):
+        assert sum(counter.values()) == len(candidates) + len(titles)
+        assert all(counter[title] == 1 for title in titles)
+
+
+def _counts(out, stage):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return next(s["counts"] for s in manifest["stages"] if s["name"] == stage)
+
+
+def test_consolidate_counts_source_overlap(fresh):
+    counts = _counts(fresh, "consolidate")
+    venn = {k: v for k, v in counts.items() if k.startswith("venn_")}
+    assert set(venn) == {"venn_floodlist", "venn_emdat", "venn_dfo",
+                         "venn_floodlist+emdat", "venn_floodlist+dfo",
+                         "venn_emdat+dfo", "venn_floodlist+emdat+dfo"}
+    assert sum(venn.values()) == counts["events_consolidated"]
+    # min_sources = 2 keeps exactly the events of two or more sources.
+    assert (sum(v for k, v in venn.items() if "+" in k)
+            == counts["events_multi_source"])
+
+
+def test_extract_counts_discards_by_reason(tmp_path):
+    sentences = {
+        "resolved": "Floods hit Japan on June 3, 2016.",
+        "no_date": "Floods hit Japan again.",
+        # Kyushu is spotted, but the replay file and the text give no country.
+        "no_place": "Floods reached Kyushu on June 3, 2016.",
+        "no_date_no_place": "Floods reached Kyushu again.",
+    }
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"article_id": key, "title": "Floods", "paragraphs": [text]}) + "\n"
+        for key, text in sentences.items()))
+    cfg = PipelineConfig.from_ini(E2E / "config.ini")
+    cfg.corpus, cfg.scorer = corpus, "constant:0.9"
+    manifest = run_pipeline(cfg, tmp_path / "run", stages=["scan", "extract"])
+    counts = manifest["stages"][1]["counts"]
+    assert counts["candidates_in"] == 4
+    assert counts["candidates_resolved"] == 1
+    assert (counts["discarded_no_date"], counts["discarded_no_place"],
+            counts["discarded_no_date_no_place"]) == (1, 1, 1)
+
+
+def _resolved_row(out, span):
+    rows = [json.loads(line) for line in (out / "resolved.jsonl").read_text().splitlines()]
+    return {(r["iso3"], r["place_stage"]) for r in rows if r["place_span"] == span}
+
+
+def test_geocache_answers_only_for_the_geocoder_that_wrote_it(tmp_path):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    cache = tmp_path / "cache"
+
+    def run(name, cache_dir):
+        cfg = PipelineConfig.from_ini(inputs / "config.ini")
+        cfg.cache_dir = cache_dir
+        run_pipeline(cfg, tmp_path / name, stages=["scan", "extract"])
+        return tmp_path / name
+
+    run("first", cache)  # the replay file has no answer for Kyushu
+    replay = inputs / "replay.jsonl"
+    replay.write_text(replay.read_text().replace(
+        '{"query": "Kyushu", "results": []}',
+        '{"query": "Kyushu", "results": [{"display_name": "Kyushu, Japan", '
+        '"iso3": "JPN", "importance": 0.6}]}'))
+    warm, cold = run("warm", cache), run("cold", tmp_path / "cold-cache")
+    assert _resolved_row(warm, "Kyushu") == {("JPN", "REMOTE_GEOCODER")}
+    assert (warm / "resolved.jsonl").read_bytes() == (cold / "resolved.jsonl").read_bytes()
+    assert len(list(cache.glob("geocache-*.jsonl"))) == 2  # one per replay file
