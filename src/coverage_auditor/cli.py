@@ -14,8 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .matching import evaluate
-from .pipeline import (ARTIFACTS, STAGES, ConfigError, InputError,
-                       PipelineConfig, StageError, read_jsonl, run_pipeline)
+from .pipeline import (ARTIFACTS, PARSERS, SETTINGS, STAGES, ConfigError,
+                       InputError, PipelineConfig, StageError, read_jsonl,
+                       run_pipeline)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,90 +31,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=Path, help="INI config file")
+    commands = {stage: f"run the {stage} stage" for stage in STAGES}
+    commands.update(run="run all stages", report="summarize a finished run")
+    for command, doc in commands.items():
+        p = sub.add_parser(command, help=doc)
+        if command != "report":
+            p.add_argument("--config", type=Path, help="INI config file")
         p.add_argument("--out", type=Path, default=Path("run"),
                        help="run directory for artifacts (default: run)")
-        p.add_argument("--no-resume", action="store_true",
-                       help="re-run stages even if their artifact exists")
-
-    for stage in STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
-        add_common(p)
-        if stage == "consolidate":
-            p.add_argument("--floodlist", type=Path)
-            p.add_argument("--emdat", type=Path)
-            p.add_argument("--dfo", type=Path)
-            p.add_argument("--min-sources", type=int)
-        if stage == "scan":
-            p.add_argument("--input", type=Path, help="corpus file")
-            p.add_argument("--format", choices=["jsonl", "xml"])
-            p.add_argument("--threshold", type=float)
-            p.add_argument("--scorer", help="builtin|constant:<p>")
-            p.add_argument("--substring", action="store_true",
-                           help="substring keyword matching instead of word-boundary")
-        if stage == "extract":
-            p.add_argument("--geocoder", help="live|replay:<path>")
-            p.add_argument("--gazetteer", type=Path)
-            p.add_argument("--kb", type=Path)
-            p.add_argument("--max-inflight", type=int)
-            p.add_argument("--min-delay-ms", type=int)
-            p.add_argument("--cache-dir", type=Path)
-            p.add_argument("--refresh", action="store_true",
-                           help="bypass the geocoder cache")
-        if stage == "match":
-            p.add_argument("--strategy", choices=["ymd", "ym"])
-            p.add_argument("--window-days", type=int)
-        if stage == "analyze":
-            p.add_argument("--indicators", type=Path)
-            p.add_argument("--axes", help="comma-separated axis list")
-            p.add_argument("--min-country-events", type=int)
-            p.add_argument("--top-domains", type=int)
-            p.add_argument("--fatalities-unknown", choices=["zero", "exclude"])
-
-    p = sub.add_parser("run", help="run all stages")
-    add_common(p)
-
-    p = sub.add_parser("report", help="summarize a finished run")
-    add_common(p)
-    p.add_argument("--labels", type=Path,
-                   help="CSV (article_id, sentence_index, relevant) for precision")
+        for s in SETTINGS:
+            if s.stage == command:
+                choices = f" ({'|'.join(s.choices)})" if s.choices else ""
+                takes = ({"action": "store_const", "const": True} if s.kind == "bool"
+                         else {"type": PARSERS[s.kind]})
+                p.add_argument(s.flag, dest=s.field, **takes,
+                               help=s.ini and f"overrides {s.ini}{choices}")
+    sub.choices["run"].add_argument(
+        "--no-resume", action="store_true",
+        help="re-run stages even if their artifact exists")
+    sub.choices["report"].add_argument(
+        "--labels", type=Path,
+        help="CSV (article_id, sentence_index, relevant) for precision")
     return parser
 
 
-def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> None:
-    mapping = {
-        "floodlist": "floodlist", "emdat": "emdat", "dfo": "dfo",
-        "min_sources": "min_sources",
-        "input": "corpus", "format": "corpus_format",
-        "threshold": "threshold", "scorer": "scorer",
-        "geocoder": "geocoder", "gazetteer": "gazetteer_path", "kb": "kb_path",
-        "max_inflight": "max_inflight", "min_delay_ms": "min_delay_ms",
-        "cache_dir": "cache_dir",
-        "strategy": "strategy", "window_days": "window_days",
-        "indicators": "indicators",
-        "min_country_events": "min_country_events",
-        "top_domains": "top_domains", "fatalities_unknown": "fatalities_unknown",
-    }
-    for arg_name, cfg_name in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(cfg, cfg_name, value)
-    if getattr(args, "substring", False):
-        cfg.keyword_substring = True
-    if getattr(args, "refresh", False):
-        cfg.refresh_cache = True
-    axes = getattr(args, "axes", None)
-    if axes:
-        cfg.axes = [a.strip() for a in axes.split(",") if a.strip()]
-
-
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config is not None:
-        cfg = PipelineConfig.from_ini(args.config)
-    else:
-        cfg = PipelineConfig()
-    _apply_overrides(cfg, args)
+    cfg = (PipelineConfig() if args.config is None
+           else PipelineConfig.from_ini(args.config))
+    for s in SETTINGS:
+        value = getattr(args, s.field, None)
+        if value is not None:
+            setattr(cfg, s.field, value)
     return cfg
 
 
@@ -163,15 +111,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
-        cfg = _load_config(args)
-        if args.command == "run":
-            stages = list(STAGES)
-            resume = not args.no_resume
-        else:
-            # An explicitly requested stage always re-runs.
-            stages = [args.command]
-            resume = False
-        manifest = run_pipeline(cfg, args.out, resume=resume, stages=stages)
+        # An explicitly requested stage always re-runs.
+        run_all = args.command == "run"
+        manifest = run_pipeline(_load_config(args), args.out,
+                                resume=run_all and not args.no_resume,
+                                stages=list(STAGES) if run_all else [args.command])
         for stage in manifest["stages"]:
             counts = " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
             print(f"{stage['name']}: {stage['status']} {counts}".rstrip())

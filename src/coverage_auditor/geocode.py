@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -249,13 +250,17 @@ class GeoCache:
         self._answers: dict[str, str | None] = {}  # normalized query -> iso3
         self._lock = threading.Lock()
         if path is not None and path.exists():
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    if obj["stage"] == self._STAGE:
-                        self._answers[obj["query"]] = obj["result"]
+            data = path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):  # a run killed mid-append: cut its torn row off
+                log.warning("geocache %s: dropping torn last line %r", path, data[end:])
+                os.truncate(path, end)
+            for line in data[:end].splitlines():
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                if obj["stage"] == self._STAGE:
+                    self._answers[obj["query"]] = obj["result"]
 
     def get(self, placename: str, default=None):
         """The cached iso3 or None, or ``default`` for an uncached name."""

@@ -16,8 +16,10 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import AXES, extract_reference_domains, load_indicators, stratify
@@ -104,63 +106,46 @@ class PipelineConfig:
     min_country_events: int = 5
     top_domains: int = 10
     fatalities_unknown: str = "zero"
-    raw_text: str = ""  # original config file content, for hashing
 
     @classmethod
     def from_ini(cls, path: Path) -> "PipelineConfig":
+        """The defaults, overridden by each ``SETTINGS`` key the file sets to a
+        non-empty value; relative paths resolve against the file's directory."""
         parser = configparser.ConfigParser()
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            parser.read_string(text)
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
         base = Path(path).parent
-
-        def _path(section, key):
-            value = parser.get(section, key, fallback="").strip()
-            if not value:
-                return None
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
-        cfg = cls(
-            floodlist=_path("inputs", "floodlist"),
-            emdat=_path("inputs", "emdat"),
-            dfo=_path("inputs", "dfo"),
-            corpus=_path("inputs", "corpus"),
-            corpus_format=parser.get("inputs", "corpus_format", fallback="jsonl"),
-            indicators=_path("inputs", "indicators"),
-            registry_path=_path("inputs", "registry"),
-            alias_path=_path("inputs", "aliases"),
-            gazetteer_path=_path("extract", "gazetteer"),
-            kb_path=_path("extract", "kb"),
-            min_sources=parser.getint("consolidate", "min_sources", fallback=2),
-            threshold=parser.getfloat("scan", "threshold", fallback=0.40),
-            scorer=parser.get("scan", "scorer", fallback="builtin"),
-            keyword_substring=parser.getboolean("scan", "substring", fallback=False),
-            geocoder=parser.get("extract", "geocoder", fallback="replay:"),
-            max_inflight=parser.getint("extract", "max_inflight", fallback=2),
-            min_delay_ms=parser.getint("extract", "min_delay_ms", fallback=1000),
-            cache_dir=_path("extract", "cache_dir"),
-            strategy=parser.get("match", "strategy", fallback="ymd"),
-            window_days=parser.getint("match", "window_days", fallback=5),
-            min_country_events=parser.getint("analyze", "min_country_events", fallback=5),
-            top_domains=parser.getint("analyze", "top_domains", fallback=10),
-            fatalities_unknown=parser.get("analyze", "fatalities_unknown", fallback="zero"),
-            raw_text=text,
-        )
-        axes_raw = parser.get("analyze", "axes", fallback="")
-        if axes_raw.strip():
-            cfg.axes = [a.strip() for a in axes_raw.split(",") if a.strip()]
-        if cfg.geocoder == "replay:":
-            replay = _path("extract", "replay")
-            if replay is not None:
-                cfg.geocoder = f"replay:{replay}"
+        cfg = cls()
+        for s in SETTINGS:
+            if s.ini is None:
+                continue
+            section, key = s.ini.split(".")
+            try:
+                text = parser.get(section, key, fallback="")
+                if not text:
+                    continue
+                value = (parser.getboolean(section, key) if s.kind == "bool"
+                         else PARSERS[s.kind](text))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{s.ini}: {exc}") from exc
+            setattr(cfg, s.field, base / value if isinstance(value, Path) else value)
+        replay = parser.get("extract", "replay", fallback="")
+        if replay and cfg.geocoder == "replay:":
+            cfg.geocoder = f"replay:{base / replay}"
         return cfg
 
     def validate(self, stages: list[str]) -> None:
         """Fail fast, before any stage executes."""
+        for s in SETTINGS:
+            if s.choices and s.stage in stages:
+                value = getattr(self, s.field)
+                for v in value if isinstance(value, list) else [value]:
+                    if v not in s.choices:
+                        raise ConfigError(f"{s.field} must be in {s.choices}, got {v!r}")
         if "consolidate" in stages:
             if not any([self.floodlist, self.emdat, self.dfo]):
                 raise ConfigError("consolidate stage needs at least one source file")
@@ -171,8 +156,6 @@ class PipelineConfig:
         if "scan" in stages:
             if self.corpus is None or not self.corpus.exists():
                 raise ConfigError(f"corpus file not found: {self.corpus}")
-            if self.corpus_format not in ("jsonl", "xml"):
-                raise ConfigError(f"unknown corpus format {self.corpus_format!r}")
             self.make_scorer()
         if "extract" in stages:
             if self.max_inflight < 1:
@@ -185,17 +168,9 @@ class PipelineConfig:
                     raise ConfigError(f"replay file not found: {replay}")
             elif self.geocoder != "live":
                 raise ConfigError(f"unknown geocoder {self.geocoder!r}")
-        if "match" in stages and self.strategy not in ("ymd", "ym"):
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if "analyze" in stages:
-            if self.indicators is None or not self.indicators.exists():
-                raise ConfigError(f"indicators file not found: {self.indicators}")
-            for axis in self.axes:
-                if axis not in AXES:
-                    raise ConfigError(f"unknown axis {axis!r}")
-            if self.fatalities_unknown not in ("zero", "exclude"):
-                raise ConfigError(
-                    f"fatalities_unknown must be zero|exclude, got {self.fatalities_unknown!r}")
+        if "analyze" in stages and (self.indicators is None
+                                    or not self.indicators.exists()):
+            raise ConfigError(f"indicators file not found: {self.indicators}")
 
     def make_registry(self) -> CountryRegistry:
         return CountryRegistry.load(self.registry_path, self.alias_path)
@@ -221,6 +196,63 @@ class PipelineConfig:
         return ReplayGeocoderClient(Path(replay))
 
 
+class Setting(NamedTuple):
+    """A ``PipelineConfig`` field, its INI ``section.key``, the stage command and
+    flag that override it, and the values it allows (empty: any)."""
+    field: str
+    ini: str | None
+    stage: str | None
+    flag: str | None
+    choices: tuple[str, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """The field's annotation: a key of ``PARSERS``, or ``bool``."""
+        return PipelineConfig.__dataclass_fields__[self.field].type
+
+
+def _comma_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+# How the text of an INI value or a flag becomes a field value. A ``bool``
+# is an INI word that configparser accepts, or a flag given without a value.
+PARSERS = {"Path | None": Path, "str": str, "int": int, "float": float,
+           "list[str]": _comma_list}
+
+# The one schema of the settings. Defaults live in ``PipelineConfig``.
+SETTINGS = (
+    Setting("floodlist", "inputs.floodlist", "consolidate", "--floodlist"),
+    Setting("emdat", "inputs.emdat", "consolidate", "--emdat"),
+    Setting("dfo", "inputs.dfo", "consolidate", "--dfo"),
+    Setting("min_sources", "consolidate.min_sources", "consolidate", "--min-sources"),
+    Setting("corpus", "inputs.corpus", "scan", "--input"),
+    Setting("corpus_format", "inputs.corpus_format", "scan", "--format",
+            ("jsonl", "xml")),
+    Setting("threshold", "scan.threshold", "scan", "--threshold"),
+    Setting("scorer", "scan.scorer", "scan", "--scorer"),
+    Setting("keyword_substring", "scan.substring", "scan", "--substring"),
+    Setting("gazetteer_path", "extract.gazetteer", "extract", "--gazetteer"),
+    Setting("kb_path", "extract.kb", "extract", "--kb"),
+    Setting("geocoder", "extract.geocoder", "extract", "--geocoder"),
+    Setting("max_inflight", "extract.max_inflight", "extract", "--max-inflight"),
+    Setting("min_delay_ms", "extract.min_delay_ms", "extract", "--min-delay-ms"),
+    Setting("cache_dir", "extract.cache_dir", "extract", "--cache-dir"),
+    Setting("refresh_cache", None, "extract", "--refresh"),
+    Setting("strategy", "match.strategy", "match", "--strategy", ("ymd", "ym")),
+    Setting("window_days", "match.window_days", "match", "--window-days"),
+    Setting("indicators", "inputs.indicators", "analyze", "--indicators"),
+    Setting("axes", "analyze.axes", "analyze", "--axes", tuple(AXES)),
+    Setting("min_country_events", "analyze.min_country_events", "analyze",
+            "--min-country-events"),
+    Setting("top_domains", "analyze.top_domains", "analyze", "--top-domains"),
+    Setting("fatalities_unknown", "analyze.fatalities_unknown", "analyze",
+            "--fatalities-unknown", ("zero", "exclude")),
+    Setting("registry_path", "inputs.registry", None, None),
+    Setting("alias_path", "inputs.aliases", None, None),
+)
+
+
 class _EmptyClient:
     identity = "replay:"
 
@@ -234,9 +266,23 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A file to write that is renamed over ``path`` once complete, or removed
+    on error, so a resumed run never takes a partial artifact for a whole one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: Path, rows) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for row in rows:
             fh.write(dumps(row) + "\n")
             n += 1
@@ -475,16 +521,16 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
         "domains": [[name, count] for name, count in domains],
         "domains_skipped_urls": skipped,
     }
-    (out_dir / "analysis.json").write_text(
-        json.dumps(analysis, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    with _replacing(out_dir / "analysis.json") as fh:
+        fh.write(json.dumps(analysis, indent=2, sort_keys=True, ensure_ascii=False)
+                 + "\n")
     return {"axes": len(axes_out), "domains": len(domains)}
 
 
 def _write_axis_csv(path: Path, rows: list[dict]) -> None:
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "bucket_label", "ground_truth_count",
                          "matched_count", "hit_rate_pct"])
@@ -524,7 +570,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
         "tool_version": __version__,
-        "config_hash": hashlib.sha256(cfg.raw_text.encode("utf-8")).hexdigest(),
+        # The settings this run uses, after any CLI overrides.
+        "config_hash": hashlib.sha256(json.dumps(
+            vars(cfg), sort_keys=True, default=str).encode("utf-8")).hexdigest(),
         "input_digests": {},
         "stages": [],
     }
@@ -561,8 +609,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
             "seconds": round(time.perf_counter() - started, 3),
             "counts": counts})
 
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if failure is not None:
         raise failure
     return manifest

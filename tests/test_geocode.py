@@ -321,6 +321,28 @@ def test_kb_is_consulted_before_the_cache(registry, kb, tmp_path):
     assert client.calls == []
 
 
+def test_torn_last_line_is_dropped_on_load(tmp_path, caplog):
+    cache_path = tmp_path / "geocache.jsonl"
+    cache = GeoCache(cache_path)
+    cache.put("Coon Valley", "USA")
+    cache.put("Atlantis", None)
+    whole = cache_path.read_bytes()
+    cache_path.write_bytes(whole + whole[:40])  # a run killed mid-append
+
+    torn = GeoCache(cache_path)
+    assert torn.get("Coon Valley") == "USA"
+    assert torn.get("Atlantis", "uncached") is None
+    assert "torn last line" in caplog.text
+    assert cache_path.read_bytes() == whole
+    torn.put("Kyushu", "JPN")
+
+    lines = cache_path.read_text().splitlines(keepends=True)
+    assert len(lines) == 3 and all(line.endswith("\n") for line in lines)
+    again = GeoCache(cache_path)
+    assert [again.get(n) for n in ("Coon Valley", "Atlantis", "Kyushu")] == [
+        "USA", None, "JPN"]
+
+
 class HalfDownClient:
     """Answers "Place <even>" with Bolivia; fails on "Place <odd>"."""
 

@@ -9,6 +9,7 @@ import pytest
 
 from coverage_auditor import pipeline
 from coverage_auditor.cli import main
+from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.pipeline import STAGES, ARTIFACTS, PipelineConfig, run_pipeline
 from coverage_auditor.places import GazetteerSpotter
 from conftest import FIXTURES
@@ -56,6 +57,27 @@ def test_single_stage_command_equals_fresh_run(fresh, tmp_path, stage):
     (out / ARTIFACTS[stage]).unlink()
     assert main([stage, "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
     assert _statuses(out) == ["ran"]
+    assert _outputs(out) == _outputs(fresh)
+
+
+def test_stage_failing_mid_write_leaves_no_artifact(fresh, tmp_path, monkeypatch):
+    to_json_dict = CandidateSentence.to_json_dict
+    written = []
+
+    def failing_after_three(self):
+        if len(written) == 3:
+            raise RuntimeError("disk gone")
+        written.append(self)
+        return to_json_dict(self)
+    out = tmp_path / "run"
+    with monkeypatch.context() as m:
+        m.setattr(CandidateSentence, "to_json_dict", failing_after_three)
+        assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 4
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.jsonl", "gt_rejects.jsonl", "manifest.json"]
+
+    assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
+    assert _statuses(out) == ["skipped"] + ["ran"] * 4
     assert _outputs(out) == _outputs(fresh)
 
 

@@ -1,0 +1,180 @@
+"""The settings schema: ``pipeline.SETTINGS`` is the one table behind the
+INI reader, the stage flags, their overrides and the allowed-value checks;
+``config_hash`` hashes the settings a run actually used."""
+
+import json
+import shutil
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from coverage_auditor.cli import _load_config, build_parser, main
+from coverage_auditor.pipeline import SETTINGS, PipelineConfig
+from conftest import FIXTURES
+
+E2E = FIXTURES / "e2e"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every subcommand's option strings. Single-stage commands have no
+# --no-resume (they always re-run) and report has neither --config nor
+# --no-resume (it reads only the run directory).
+OPTIONS = {
+    "consolidate": {"--config", "--dfo", "--emdat", "--floodlist", "--help",
+                    "--min-sources", "--out", "-h"},
+    "scan": {"--config", "--format", "--help", "--input", "--out", "--scorer",
+             "--substring", "--threshold", "-h"},
+    "extract": {"--cache-dir", "--config", "--gazetteer", "--geocoder", "--help",
+                "--kb", "--max-inflight", "--min-delay-ms", "--out", "--refresh",
+                "-h"},
+    "match": {"--config", "--help", "--out", "--strategy", "--window-days", "-h"},
+    "analyze": {"--axes", "--config", "--fatalities-unknown", "--help",
+                "--indicators", "--min-country-events", "--out", "--top-domains",
+                "-h"},
+    "run": {"--config", "--help", "--no-resume", "--out", "-h"},
+    "report": {"--help", "--labels", "--out", "-h"},
+}
+
+# A value of each kind as INI text and as a flag argument, each unlike the
+# field's default and unlike each other.
+INI_TEXT = {"Path | None": "sub/in.csv", "str": "text", "int": "7",
+            "float": "0.7", "bool": "yes", "list[str]": "gdp, month"}
+FLAG_TEXT = {"Path | None": "other.csv", "str": "other", "int": "9",
+             "float": "0.9", "list[str]": "country"}
+
+
+def _expected(kind, text, base=None):
+    if kind == "Path | None":
+        return base / text if base else Path(text)
+    return {"int": int, "float": float, "bool": lambda t: True,
+            "list[str]": lambda t: [a.strip() for a in t.split(",")]
+            }.get(kind, str)(text)
+
+
+def _ini_text(s):
+    return s.choices[-1] if s.choices and s.kind == "str" else INI_TEXT[s.kind]
+
+
+def _write_ini(path, s, text):
+    section, key = s.ini.split(".")
+    path.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+    return path
+
+
+def test_settings_cover_every_config_field_once():
+    assert sorted(s.field for s in SETTINGS) == sorted(f.name for f in fields(PipelineConfig))
+    inis = [s.ini for s in SETTINGS if s.ini]
+    flags = [(s.stage, s.flag) for s in SETTINGS if s.flag]
+    assert len(set(inis)) == len(inis) and len(set(flags)) == len(flags)
+
+
+def test_subcommand_options_are_pinned():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    got = {name: {o for action in p._actions for o in action.option_strings}
+           for name, p in subparsers.items()}
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("s", [s for s in SETTINGS if s.ini], ids=lambda s: s.ini)
+def test_every_ini_key_is_read(tmp_path, s):
+    cfg = PipelineConfig.from_ini(_write_ini(tmp_path / "c.ini", s, _ini_text(s)))
+    expected = _expected(s.kind, _ini_text(s), tmp_path)
+    assert expected != getattr(PipelineConfig(), s.field)
+    assert vars(cfg) == {**vars(PipelineConfig()), s.field: expected}
+
+
+@pytest.mark.parametrize("s", [s for s in SETTINGS if s.flag],
+                         ids=lambda s: f"{s.stage} {s.flag}")
+def test_every_flag_overrides_the_ini(tmp_path, s):
+    argv = [s.stage, s.flag]
+    if s.kind == "bool":
+        ini_text, expected = "no", True
+    else:
+        ini_text = _ini_text(s)
+        flag_text = s.choices[0] if s.choices and s.kind == "str" else FLAG_TEXT[s.kind]
+        argv.append(flag_text)
+        expected = _expected(s.kind, flag_text)
+    if s.ini:
+        argv += ["--config", str(_write_ini(tmp_path / "c.ini", s, ini_text))]
+        assert getattr(PipelineConfig.from_ini(tmp_path / "c.ini"), s.field) != expected
+    cfg = _load_config(build_parser().parse_args(argv))
+    assert getattr(cfg, s.field) == expected
+
+
+def test_replay_key_folds_into_the_replay_geocoder(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[extract]\nreplay = r.jsonl\n")
+    assert PipelineConfig.from_ini(ini).geocoder == f"replay:{tmp_path / 'r.jsonl'}"
+    ini.write_text("[extract]\ngeocoder = live\nreplay = r.jsonl\n")
+    assert PipelineConfig.from_ini(ini).geocoder == "live"
+
+
+def test_absolute_ini_paths_are_kept(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[inputs]\nfloodlist = /data/floodlist.csv\n")
+    assert PipelineConfig.from_ini(ini).floodlist == Path("/data/floodlist.csv")
+
+
+@pytest.mark.parametrize("line, edited, key", [
+    ("min_sources = 2", "min_sources = two", "consolidate.min_sources"),
+    ("threshold = 0.40", "threshold = high", "scan.threshold"),
+    ("scorer = builtin", "scorer = builtin\nsubstring = maybe", "scan.substring"),
+    ("window_days = 5", "window_days = 5.5", "match.window_days"),
+])
+def test_malformed_ini_value_is_a_config_error(tmp_path, capsys, line, edited, key):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    config = inputs / "config.ini"
+    config.write_text(config.read_text().replace(line, edited))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["on", "OFF", "1", "no", "True"])
+def test_ini_booleans_take_configparser_words(tmp_path, text):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[scan]\nsubstring = {text}\n")
+    assert PipelineConfig.from_ini(ini).keyword_substring is (
+        text.lower() in ("on", "1", "true"))
+
+
+def _config_hash(out):
+    return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+
+def test_config_hash_follows_cli_overrides(tmp_path):
+    out = tmp_path / "run"
+    config = str(E2E / "config.ini")
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert main(["match", "--config", config, "--out", str(out)]) == 0
+    plain = _config_hash(out)
+    assert main(["match", "--config", config, "--out", str(out),
+                 "--strategy", "ym"]) == 0
+    assert _config_hash(out) != plain
+
+
+@pytest.mark.parametrize("edit, same", [
+    (lambda t: "# a comment\n" + t.replace(" = ", "  =  ") + "\n\n", True),
+    (lambda t: t.replace("min_sources = 2", "min_sources = 3"), False),
+])
+def test_config_hash_is_of_the_settings_not_the_text(tmp_path, edit, same):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    original = inputs / "config.ini"
+    edited = inputs / "edited.ini"
+    edited.write_text(edit(original.read_text()))
+    hashes = []
+    for config in (original, edited):
+        out = tmp_path / config.stem
+        assert main(["consolidate", "--config", str(config), "--out", str(out)]) == 0
+        hashes.append(_config_hash(out))
+    assert (hashes[0] == hashes[1]) is same
+
+
+def test_readme_lists_every_setting():
+    rows = [line for line in README.read_text().splitlines() if line.startswith("|")]
+    for s in SETTINGS:
+        cells = [f"`{s.ini}`" if s.ini else "", f"`{s.stage} {s.flag}`" if s.flag else ""]
+        assert any(all(c in row for c in cells) for row in rows), s
