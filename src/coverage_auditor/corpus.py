@@ -138,10 +138,16 @@ def _local_tag(tag: str) -> str:
 
 def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
     """Parse <page> elements, keeping main-namespace pages only."""
-    context = ET.iterparse(stream, events=("end",))
-    for _, elem in context:
+    open_elems = []  # the element each open tag started, outermost first
+    for event, elem in ET.iterparse(stream, events=("start", "end")):
+        if event == "start":
+            open_elems.append(elem)
+            continue
+        open_elems.pop()
         if _local_tag(elem.tag) != "page":
             continue
+        if open_elems:  # detach the page, or the tree keeps every page read
+            open_elems[-1].remove(elem)
         fields = {}
         for child in elem.iter():
             tag = _local_tag(child.tag)
@@ -297,8 +303,25 @@ def keyword_filter(text: str, substring: bool = False) -> bool:
     return pattern.search(text) is not None
 
 
+def _may_hold_keyword(text: str) -> bool:
+    """False only if no flood keyword can match in ``text``, in either mode.
+
+    Every keyword holds ``flood`` or ``inundation``, and under IGNORECASE
+    each of ``f l o d n u a t`` matches only characters that lower-case to
+    it; ``i`` also matches ``İ`` and ``ı``, hence ``nundat``.
+    """
+    lower = text.lower()
+    return "flood" in lower or "nundat" in lower
+
+
 def extract_candidates(article: Article, substring: bool = False) -> list[CandidateSentence]:
     """All sentences of a keyword-titled article, else keyword sentences."""
+    # Sentences are substrings of their paragraph and sentence_index counts
+    # within the article, so an article that cannot hold a keyword is
+    # skipped whole, before any segmentation.
+    if not (_may_hold_keyword(article.title)
+            or any(_may_hold_keyword(p) for p in article.paragraphs)):
+        return []
     title_hit = keyword_filter(article.title, substring)
     candidates: list[CandidateSentence] = []
     sentence_counter = 0

@@ -118,7 +118,7 @@ class PipelineConfig:
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-        base = Path(path).parent
+        base = Path(path).resolve().parent
         cfg = cls()
         for s in SETTINGS:
             if s.ini is None:
@@ -146,13 +146,19 @@ class PipelineConfig:
                 for v in value if isinstance(value, list) else [value]:
                     if v not in s.choices:
                         raise ConfigError(f"{s.field} must be in {s.choices}, got {v!r}")
+        files = []  # (name, path) of the files the stages read, where set
+        if set(stages) - {"scan"}:
+            files += [("registry", self.registry_path), ("aliases", self.alias_path)]
         if "consolidate" in stages:
             if not any([self.floodlist, self.emdat, self.dfo]):
                 raise ConfigError("consolidate stage needs at least one source file")
-            for name, p in [("floodlist", self.floodlist), ("emdat", self.emdat),
-                            ("dfo", self.dfo)]:
-                if p is not None and not p.exists():
-                    raise ConfigError(f"{name} file not found: {p}")
+            files += [("floodlist", self.floodlist), ("emdat", self.emdat),
+                      ("dfo", self.dfo)]
+        if "extract" in stages:
+            files += [("gazetteer", self.gazetteer_path), ("kb", self.kb_path)]
+        for name, p in files:
+            if p is not None and not p.exists():
+                raise ConfigError(f"{name} file not found: {p}")
         if "scan" in stages:
             if self.corpus is None or not self.corpus.exists():
                 raise ConfigError(f"corpus file not found: {self.corpus}")
@@ -568,15 +574,22 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
     cfg.validate(stages)
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The settings this run uses, after any CLI overrides, with every path
+    # absolute, so that how a path was spelled does not change the hash.
+    settings = {name: value.resolve() if isinstance(value, Path) else value
+                for name, value in vars(cfg).items()}
+    replay = cfg.geocoder.removeprefix("replay:")
+    if replay and replay != cfg.geocoder:
+        settings["geocoder"] = f"replay:{Path(replay).resolve()}"
     manifest: dict = {
         "tool_version": __version__,
-        # The settings this run uses, after any CLI overrides.
         "config_hash": hashlib.sha256(json.dumps(
-            vars(cfg), sort_keys=True, default=str).encode("utf-8")).hexdigest(),
+            settings, sort_keys=True, default=str).encode("utf-8")).hexdigest(),
         "input_digests": {},
         "stages": [],
     }
-    for path in [cfg.floodlist, cfg.emdat, cfg.dfo, cfg.corpus, cfg.indicators]:
+    for name in ["floodlist", "emdat", "dfo", "corpus", "indicators"]:
+        path = settings[name]
         if path is not None and path.exists():
             manifest["input_digests"][str(path)] = file_digest(path)
 

@@ -4,14 +4,20 @@ Deliberately naive, but obviously correct, which is the point:
 - consolidation repeatedly merges any two clusters that share a country
   and contain at least one overlapping pair of records, until nothing
   merges (O(n^3)-ish);
-- whole-text country inference searches for every alias on its own.
+- whole-text country inference searches for every alias on its own;
+- candidate extraction segments and keyword-tests every sentence of every
+  article, with no article-level gate.
 """
 
 from __future__ import annotations
 
 import re
 
+from coverage_auditor.corpus import (Article, CandidateSentence,
+                                     _owning_sentence, _sentence_spans,
+                                     keyword_filter, segment_sentences)
 from coverage_auditor.countries import CountryCode, normalize_name
+from coverage_auditor.dates import distinct_years
 from coverage_auditor.ground_truth import SourceRecord
 
 
@@ -67,3 +73,34 @@ def oracle_infer_country(sentence: str, title: str,
         if hits:
             return min(hits, key=lambda hit: hit[:2])[2]
     return None
+
+
+def oracle_extract_candidates(article: Article,
+                              substring: bool = False) -> list[CandidateSentence]:
+    """All sentences of a keyword-titled article, else keyword sentences."""
+    title_hit = keyword_filter(article.title, substring)
+    candidates: list[CandidateSentence] = []
+    sentence_counter = 0
+    for pidx, paragraph in enumerate(article.paragraphs):
+        sentences = segment_sentences(paragraph)
+        spans = _sentence_spans(paragraph, sentences)
+        para_citations = [c for c in article.citations if c.paragraph_index == pidx]
+        years = None  # computed for paragraphs holding a candidate only
+        for text, (s_start, _) in zip(sentences, spans):
+            if title_hit or keyword_filter(text, substring):
+                if years is None:
+                    years = sorted(distinct_years(paragraph))
+                urls = [c.url for c in para_citations
+                        if _owning_sentence(spans, c.offset) == s_start]
+                candidates.append(CandidateSentence(
+                    article_id=article.article_id,
+                    title=article.title,
+                    paragraph_index=pidx,
+                    sentence_index=sentence_counter,
+                    text=text,
+                    via_title_rule=title_hit,
+                    citations=urls,
+                    paragraph_years=years,
+                ))
+            sentence_counter += 1
+    return candidates

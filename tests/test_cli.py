@@ -97,6 +97,30 @@ def test_missing_indicators_fails_before_any_stage(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--gazetteer", "--kb"])
+def test_missing_extract_table_fails_before_any_stage(finished_run, capsys, flag):
+    before = (finished_run / "resolved.jsonl").read_bytes()
+    assert run_cli("extract", "--config", E2E / "config.ini", "--out", finished_run,
+                   flag, finished_run / "nope.tsv") == 2
+    assert "file not found" in capsys.readouterr().err
+    assert (finished_run / "resolved.jsonl").read_bytes() == before
+
+
+@pytest.mark.parametrize("key", ["registry", "aliases"])
+def test_missing_registry_file_fails_every_stage_that_reads_it(tmp_path, capsys, key):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    config = inputs / "config.ini"
+    config.write_text(config.read_text().replace("[inputs]\n",
+                                                 f"[inputs]\n{key} = nope.tsv\n"))
+    for command in ("run", "consolidate", "extract", "match", "analyze"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", config, "--out", out) == 2
+        assert f"{key} file not found" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli("scan", "--config", config, "--out", tmp_path / "scan") == 0
+
+
 @pytest.mark.parametrize("setting", ["max_inflight = 0", "max_inflight = -1",
                                      "min_delay_ms = -1"])
 def test_bad_geocoder_limits_fail_before_any_stage(tmp_path, setting):

@@ -1,12 +1,20 @@
+import gc
 import io
+import re
+import sys
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coverage_auditor import corpus
 from coverage_auditor.corpus import (Article, Citation, builtin_scorer,
                                      constant_scorer, extract_candidates,
                                      filter_by_relevance, ingest_articles,
                                      keyword_filter, segment_sentences,
                                      strip_wikitext)
+from oracles import oracle_extract_candidates
 
 
 # --- keyword filter -----------------------------------------------------------
@@ -94,6 +102,21 @@ def test_ingest_mediawiki_xml_strips_and_filters_namespaces():
     assert art.citations[0].paragraph_index == 0
 
 
+def test_xml_ingest_does_not_keep_finished_pages():
+    page = ("<page><title>Page {i}</title><ns>0</ns><id>{i}</id>"
+            "<revision><text>{body}</text></revision></page>")
+    dump = ("<mediawiki><siteinfo><sitename>W</sitename></siteinfo>"
+            + "".join(page.format(i=i, body="word " * 200) for i in range(2000))
+            + "</mediawiki>").encode()
+    live = []
+    for n, _ in enumerate(ingest_articles(io.BytesIO(dump), "xml", [])):
+        if n % 250 == 0:
+            live.append(sum(isinstance(o, ET.Element) for o in gc.get_objects()))
+    assert n == 1999
+    # About a parser read's worth of pages is alive at once, not every page.
+    assert max(live) < 500, live
+
+
 def test_strip_wikitext_nested_templates_and_external_links():
     text = "{{outer|{{inner|x}}|y}}See [http://example.com/a the report] here."
     paragraphs, citations = strip_wikitext(text)
@@ -135,6 +158,77 @@ def test_citation_attaches_to_nearest_preceding_sentence():
     # Only the first sentence has the keyword; it owns the offset-0 citation.
     assert len(cands) == 1
     assert cands[0].citations == ["https://example.org/y"]
+
+
+# The gate skips an article unless its title or a paragraph holds "flood" or
+# "nundat" once lower-cased. The alphabet mixes keyword fragments, the
+# characters IGNORECASE folds unusually (İ ı ſ K), punctuation,
+# abbreviations and whitespace, plus whole keyword-like words in odd cases
+# ("İnundation", "FLooding", "floodplain", "ınundated").
+FRAGMENTS = ["flo", "od", "Flo", "OD", "flood", "FLOODS", "inundat", "ion",
+             "INUNDAT", "nundat", "İ", "ı", "ſ", "K", "k", "s", "ing", "ed",
+             "plain", "River", "2019", "The", " ", "  ", "\n", ".", ". ", "! ",
+             "? ", ",", "-", "(", ")", '"', "'", "Dr. ", "St. ", "U.S. ", "J. "]
+
+
+def _word(*parts):
+    return st.tuples(*map(st.sampled_from, parts)).map("".join)
+
+
+keyword_word = st.one_of(
+    _word(["f", "F"], ["lo", "LO", "Lo"], ["od", "OD", "o"],
+          ["", "s", "ing", "ed", "plain"]),
+    _word(["i", "I", "İ", "ı", ""], ["nundat", "NUNDAT", "nunda"],
+          ["ion", "ION", "ed", ""]))
+fragment_text = st.lists(st.one_of(keyword_word, st.sampled_from(FRAGMENTS)),
+                         max_size=12).map("".join)
+
+
+@st.composite
+def articles(draw):
+    paragraphs = draw(st.lists(fragment_text, max_size=4))
+    title = draw(st.one_of(fragment_text, st.sampled_from(
+        ["2016 Angola floods", "Flooding in Kyushu", "Kyushu", "Inundation"])))
+    citations = draw(st.lists(st.builds(
+        Citation, st.integers(0, max(len(paragraphs) - 1, 0)),
+        st.integers(0, 60), st.sampled_from(["https://a.org/1", "https://b.org/2"])),
+        max_size=3))
+    return Article("art-1", title, paragraphs, citations)
+
+
+@settings(max_examples=400, deadline=None)
+@given(article=articles(), substring=st.booleans())
+@example(article=make_article("Kyushu", ["Rain. İnundation followed."]), substring=False)
+@example(article=make_article("ınundation", ["Rain fell."]), substring=True)
+def test_gated_extraction_matches_ungated_oracle(article, substring):
+    got = [c.to_json_dict() for c in extract_candidates(article, substring)]
+    assert got == [c.to_json_dict()
+                   for c in oracle_extract_candidates(article, substring)]
+
+
+def test_gate_letters_match_only_their_lowercase():
+    # IGNORECASE lets "i" match "İ" and "ı" (so the gate looks for "nundat"),
+    # but each letter of "flood" and "nundat" only its own two cases.
+    assert re.fullmatch("(?i)i", "\u0130") and re.fullmatch("(?i)i", "\u0131")
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in "flodnuat":
+        assert {c.lower() for c in re.findall("(?i)" + letter, every)} == {letter}
+
+
+def test_article_without_keyword_is_never_segmented(monkeypatch):
+    calls = []
+    for name in ("segment_sentences", "keyword_filter"):
+        real = getattr(corpus, name)
+        monkeypatch.setattr(corpus, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    plain = make_article("Kyushu", ["Rain fell all week. The river rose.",
+                                    "A flo od, an inun dation."])
+    assert extract_candidates(plain) == []
+    assert calls == []
+    flooded = make_article("Kyushu", ["Rain fell. The river rose.",
+                                      "Then the floods came."])
+    assert len(extract_candidates(flooded)) == 1
+    assert calls.count("segment_sentences") == 2
 
 
 # --- scoring ------------------------------------------------------------------

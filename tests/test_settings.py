@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from coverage_auditor.cli import _load_config, build_parser, main
-from coverage_auditor.pipeline import SETTINGS, PipelineConfig
+from coverage_auditor.pipeline import SETTINGS, PipelineConfig, run_pipeline
 from conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
@@ -171,6 +171,28 @@ def test_config_hash_is_of_the_settings_not_the_text(tmp_path, edit, same):
         assert main(["consolidate", "--config", str(config), "--out", str(out)]) == 0
         hashes.append(_config_hash(out))
     assert (hashes[0] == hashes[1]) is same
+
+
+def test_config_hash_ignores_how_paths_are_spelled(tmp_path, monkeypatch):
+    shutil.copytree(E2E, tmp_path / "in")
+    monkeypatch.chdir(tmp_path)
+    manifests = []
+    for i, base in enumerate([Path("in"), tmp_path / "in"] * 2):
+        argv = ["consolidate", "--config", str(base / "config.ini"), "--out", f"run{i}"]
+        if i >= 2:
+            argv += ["--floodlist", str(base / "floodlist.csv"),
+                     "--emdat", str(base / "emdat.csv")]
+        assert main(argv) == 0
+        manifests.append(json.loads(Path(f"run{i}", "manifest.json").read_text()))
+    # The flags name the files the INI names, so all four runs use one config.
+    assert len({m["config_hash"] for m in manifests}) == 1
+    assert len({tuple(m["input_digests"]) for m in manifests}) == 1
+    hashes = set()
+    for replay in ("in/replay.jsonl", tmp_path / "in" / "replay.jsonl"):
+        cfg = PipelineConfig.from_ini(Path("in/config.ini"))
+        cfg.geocoder = f"replay:{replay}"
+        hashes.add(run_pipeline(cfg, Path("run"), stages=["consolidate"])["config_hash"])
+    assert len(hashes) == 1
 
 
 def test_readme_lists_every_setting():
