@@ -54,7 +54,9 @@ _MONTHS = {
     "sep": 9, "sept": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 
-_MODIFIER_DAY = {"early": 5, "mid": 15, "late": 25}
+# early, mid, late by first letter: IGNORECASE lets the "i" of "mid" be "İ"
+# or "ı", which do not lower-case to "i".
+_MODIFIER_DAY = {"e": 5, "m": 15, "l": 25}
 
 _MONTH_PAT = (r"(?:January|February|March|April|May|June|July|August|September|"
               r"October|November|December|Jan\.?|Feb\.?|Mar\.?|Apr\.?|Jun\.?|"
@@ -78,6 +80,14 @@ _DATE_RE = re.compile(
     re.IGNORECASE,
 )
 
+# Every alternative of _DATE_RE starts, right after its \b, with a digit, the
+# first three letters of a month, or a modifier; under the same flags this
+# matches wherever _DATE_RE can, so the full pattern is tried only here.
+_ANCHOR_RE = re.compile(
+    r"\b(?:\d|jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec|early|mid|late)",
+    re.IGNORECASE,
+)
+
 _YEAR_TOKEN_RE = re.compile(r"\b(\d{4})\b")
 
 
@@ -95,6 +105,24 @@ def _day_num(token: str) -> int | None:
     return day if 1 <= day <= 31 else None
 
 
+def _date_matches(text: str):
+    """The matches of ``_DATE_RE.finditer(text)``, tried at anchors only.
+
+    No alternative matches the empty string, and ``match(text, pos)`` judges
+    its leading word boundary against ``text[pos - 1]``, so resuming at a
+    match's end, or else one past the anchor, yields what finditer does.
+    """
+    search, match = _ANCHOR_RE.search, _DATE_RE.match
+    pos = 0
+    while (anchor := search(text, pos)) is not None:
+        m = match(text, anchor.start())
+        if m is None:
+            pos = anchor.start() + 1
+        else:
+            yield m
+            pos = m.end()
+
+
 def find_dates(text: str) -> list[DateMention]:
     """Extract date mentions left to right, longest pattern first.
 
@@ -103,7 +131,7 @@ def find_dates(text: str) -> list[DateMention]:
     outside 1900-2100 are not treated as years.
     """
     mentions: list[DateMention] = []
-    for m in _DATE_RE.finditer(text):
+    for m in _date_matches(text):
         span = m.group(0)
         if m.group("iso"):
             year, month, day = int(m.group("iso_y")), int(m.group("iso_m")), int(m.group("iso_d"))
@@ -135,7 +163,7 @@ def find_dates(text: str) -> list[DateMention]:
             # Yearless months must be capitalized: "may" is usually a verb.
             if month is None or not m.group("modm_mon")[0].isupper():
                 continue
-            day = _MODIFIER_DAY[m.group("mod").lower()]
+            day = _MODIFIER_DAY[m.group("mod")[0].lower()]
             mentions.append(DateMention(span, day, month, None))
         elif m.group("mon"):
             month = _month_num(m.group("mon"))

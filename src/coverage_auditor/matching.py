@@ -13,9 +13,11 @@ when any day of that month falls inside the window.
 from __future__ import annotations
 
 import calendar
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable
 
 from .countries import CountryCode
@@ -65,18 +67,39 @@ class EvalReport:
     ground_truth_total: int
 
 
+_NO_EVENTS: tuple = ([], [], [])
+
+
 class EventIndex:
-    """Country-keyed view over consolidated events; immutable after build."""
+    """Country-keyed view over consolidated events; immutable after build.
+
+    Each country's events are sorted by (start, id), next to their start
+    ordinals and a running maximum of their end ordinals, so the events
+    that can overlap a date interval are found by two bisections.
+    """
 
     def __init__(self, events: Iterable[ConsolidatedEvent]):
-        self._by_country: dict[str, list[ConsolidatedEvent]] = {}
+        by_country: dict[str, list[ConsolidatedEvent]] = {}
         for event in events:
-            self._by_country.setdefault(event.country.iso3, []).append(event)
-        for group in self._by_country.values():
+            by_country.setdefault(event.country.iso3, []).append(event)
+        self._by_country: dict[str, tuple[list[ConsolidatedEvent], list[int], list[int]]] = {}
+        for iso3, group in by_country.items():
             group.sort(key=lambda e: (e.start_date, e.event_id))
+            self._by_country[iso3] = (
+                group,
+                [e.start_date.toordinal() for e in group],
+                list(accumulate((e.end_date.toordinal() for e in group), max)))
 
     def for_country(self, iso3: str) -> list[ConsolidatedEvent]:
-        return self._by_country.get(iso3, [])
+        return list(self._by_country.get(iso3, _NO_EVENTS)[0])
+
+    def reaching(self, iso3: str, lo: int, hi: int) -> list[ConsolidatedEvent]:
+        """The country's events in index order, from the first whose end, or
+        an earlier event's, is on or after ordinal ``lo``, to the last that
+        starts on or before ordinal ``hi``. Every event that starts by ``hi``
+        and ends on or after ``lo`` is among them."""
+        group, starts, reach = self._by_country.get(iso3, _NO_EVENTS)
+        return group[bisect_left(reach, lo):bisect_right(starts, hi)]
 
 
 def _month_interval(year: int, month: int) -> tuple[date, date]:
@@ -100,9 +123,10 @@ def match_ymd(candidate: ResolvedCandidate, events: EventIndex,
         return []
     lo, hi = _candidate_interval(candidate.date)
     matches = []
-    for event in events.for_country(candidate.country.iso3):
-        window_end = event.end_date + timedelta(days=window_days)
-        if lo <= window_end and hi >= event.start_date:
+    # lo <= end + window, written so that no date leaves the calendar's range.
+    for event in events.reaching(candidate.country.iso3,
+                                 lo.toordinal() - window_days, hi.toordinal()):
+        if (lo - event.end_date).days <= window_days and hi >= event.start_date:
             matches.append(MatchResult(event.event_id, candidate, Strategy.YMD,
                                        candidate.date, candidate.country))
     return matches
@@ -114,7 +138,8 @@ def match_ym(candidate: ResolvedCandidate, events: EventIndex) -> list[MatchResu
         return []
     month_lo, month_hi = _month_interval(candidate.date.year, candidate.date.month)
     matches = []
-    for event in events.for_country(candidate.country.iso3):
+    for event in events.reaching(candidate.country.iso3,
+                                 month_lo.toordinal(), month_hi.toordinal()):
         if month_lo <= event.end_date and month_hi >= event.start_date:
             matches.append(MatchResult(event.event_id, candidate, Strategy.YM,
                                        candidate.date, candidate.country))

@@ -50,7 +50,8 @@ ARTIFACTS = {
 }
 
 # Stage results handed downstream, by name, and the artifact each is
-# written to; and the results each stage reads.
+# written to; and what each stage reads of these and of the country
+# registry, which the first stage of a run that needs it loads.
 _RESULT_ARTIFACTS = {
     "events": ARTIFACTS["consolidate"],
     "candidates": ARTIFACTS["scan"],
@@ -58,9 +59,10 @@ _RESULT_ARTIFACTS = {
     "matches": ARTIFACTS["match"],
 }
 _INPUTS = {
-    "extract": ("candidates",),
-    "match": ("events", "resolved"),
-    "analyze": ("events", "matches", "candidates"),
+    "consolidate": ("registry",),
+    "extract": ("registry", "candidates"),
+    "match": ("registry", "events", "resolved"),
+    "analyze": ("registry", "events", "matches", "candidates"),
 }
 
 
@@ -268,8 +270,8 @@ class _EmptyClient:
 
 # --- deterministic serialization ---------------------------------------------
 
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# json.dumps with these keywords builds this same encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 @contextmanager
@@ -287,10 +289,12 @@ def _replacing(path: Path, newline: str | None = None):
 
 
 def write_jsonl(path: Path, rows) -> int:
+    """Write one compact, key-sorted JSON object per line; return the count."""
     n = 0
+    encode = _ENCODER.encode
     with _replacing(path) as fh:
         for row in rows:
-            fh.write(dumps(row) + "\n")
+            fh.write(encode(row) + "\n")
             n += 1
     return n
 
@@ -315,7 +319,7 @@ def file_digest(path: Path) -> str:
 # --- stages --------------------------------------------------------------
 
 # Each stage takes ``held``, the results earlier stages of this run handed
-# over, and adds its own result to it.
+# over (and the run's country registry), and adds its own result to it.
 
 def _input(held: dict, name: str, out_dir: Path,
            registry: CountryRegistry | None = None) -> list:
@@ -334,9 +338,17 @@ def _input(held: dict, name: str, out_dir: Path,
     return held[name]
 
 
+def _registry(cfg: PipelineConfig, held: dict) -> CountryRegistry:
+    """The run's country registry: loaded by the first stage that asks."""
+    if "registry" not in held:
+        held["registry"] = cfg.make_registry()
+    return held["registry"]
+
+
 def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
                       held: dict | None = None) -> dict:
-    registry = cfg.make_registry()
+    held = {} if held is None else held
+    registry = _registry(cfg, held)
     records = []
     rejects = []
     excluded = []
@@ -366,8 +378,7 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
 
     write_jsonl(out_dir / "events.jsonl", (e.to_json_dict() for e in kept))
     write_jsonl(out_dir / "gt_rejects.jsonl", rejects + excluded)
-    if held is not None:
-        held["events"] = kept
+    held["events"] = kept
     counts = {
         "records_parsed": len(records),
         "records_rejected": len(rejects),
@@ -417,7 +428,7 @@ def _open_maybe_compressed(path: Path):
 
 def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
     held = {} if held is None else held
-    registry = cfg.make_registry()
+    registry = _registry(cfg, held)
     gazetteer = Gazetteer.load(cfg.gazetteer_path, registry)
     spotter = GazetteerSpotter(gazetteer)
     kb = KnowledgeBase.load(registry, cfg.kb_path)
@@ -484,7 +495,7 @@ def _env_cache_dir() -> Path | None:
 
 def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
     held = {} if held is None else held
-    registry = cfg.make_registry()
+    registry = _registry(cfg, held)
     index = EventIndex(_input(held, "events", out_dir, registry))
     resolved = _input(held, "resolved", out_dir, registry)
     strategy = Strategy(cfg.strategy)
@@ -502,7 +513,7 @@ def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) ->
 
 def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
     held = {} if held is None else held
-    registry = cfg.make_registry()
+    registry = _registry(cfg, held)
     events = _input(held, "events", out_dir, registry)
     match_rows = _input(held, "matches", out_dir)
     indicators = load_indicators(cfg.indicators)
@@ -594,7 +605,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
             manifest["input_digests"][str(path)] = file_digest(path)
 
     failure: StageError | None = None
-    held: dict[str, list] = {}  # stage results handed downstream
+    held: dict = {}  # stage results and the registry, handed downstream
     todo = [stage for stage in STAGES if stage in stages]
     for i, stage in enumerate(todo):
         # Drop each result once the last stage of this run that reads it is done.

@@ -6,19 +6,28 @@ Deliberately naive, but obviously correct, which is the point:
   merges (O(n^3)-ish);
 - whole-text country inference searches for every alias on its own;
 - candidate extraction segments and keyword-tests every sentence of every
-  article, with no article-level gate.
+  article, with no article-level gate;
+- date finding tries the full date pattern at every position of the text;
+- matching tests a candidate against every event of its country.
 """
 
 from __future__ import annotations
 
 import re
+from datetime import timedelta
 
 from coverage_auditor.corpus import (Article, CandidateSentence,
                                      _owning_sentence, _sentence_spans,
                                      keyword_filter, segment_sentences)
 from coverage_auditor.countries import CountryCode, normalize_name
-from coverage_auditor.dates import distinct_years
+from coverage_auditor.dates import (_DATE_RE, _MODIFIER_DAY, DateMention,
+                                    YearSource, _day_num, _month_num,
+                                    _valid_year, distinct_years)
 from coverage_auditor.ground_truth import SourceRecord
+from coverage_auditor.matching import (DEFAULT_WINDOW_DAYS, EventIndex,
+                                       MatchResult, Strategy,
+                                       _candidate_interval, _month_interval)
+from coverage_auditor.places import ResolvedCandidate
 
 
 def _records_overlap(a: SourceRecord, b: SourceRecord) -> bool:
@@ -104,3 +113,82 @@ def oracle_extract_candidates(article: Article,
                 ))
             sentence_counter += 1
     return candidates
+
+
+def oracle_find_dates(text: str) -> list[DateMention]:
+    """The date pattern's finditer over the whole text, then the same branches
+    as ``find_dates`` (the modifier keyed by its first letter, as there)."""
+    mentions: list[DateMention] = []
+    for m in _DATE_RE.finditer(text):
+        span = m.group(0)
+        if m.group("iso"):
+            year, month, day = int(m.group("iso_y")), int(m.group("iso_m")), int(m.group("iso_d"))
+            if not (_valid_year(year) and 1 <= month <= 12 and 1 <= day <= 31):
+                continue
+            mentions.append(DateMention(span, day, month, year, YearSource.EXPLICIT))
+        elif m.group("mdy") or m.group("dmy"):
+            kind = "mdy" if m.group("mdy") else "dmy"
+            month = _month_num(m.group(f"{kind}_mon"))
+            day = _day_num(m.group(f"{kind}_d"))
+            year = int(m.group(f"{kind}_y"))
+            if month is None or day is None or not _valid_year(year):
+                continue
+            mentions.append(DateMention(span, day, month, year, YearSource.EXPLICIT))
+        elif m.group("my"):
+            month = _month_num(m.group("my_mon"))
+            year = int(m.group("my_y"))
+            if month is None or not _valid_year(year):
+                continue
+            mentions.append(DateMention(span, None, month, year, YearSource.EXPLICIT))
+        elif m.group("md"):
+            month = _month_num(m.group("md_mon"))
+            day = _day_num(m.group("md_d"))
+            if month is None or day is None or not m.group("md_mon")[0].isupper():
+                continue
+            mentions.append(DateMention(span, day, month, None))
+        elif m.group("modm"):
+            month = _month_num(m.group("modm_mon"))
+            # Yearless months must be capitalized: "may" is usually a verb.
+            if month is None or not m.group("modm_mon")[0].isupper():
+                continue
+            day = _MODIFIER_DAY[m.group("mod")[0].lower()]
+            mentions.append(DateMention(span, day, month, None))
+        elif m.group("mon"):
+            month = _month_num(m.group("mon"))
+            if month is None or not m.group("mon")[0].isupper():
+                continue
+            mentions.append(DateMention(span, None, month, None))
+        else:  # bare year
+            year = int(m.group("bare_y"))
+            if not _valid_year(year):
+                continue
+            mentions.append(DateMention(span, None, None, year, YearSource.EXPLICIT))
+    return mentions
+
+
+def oracle_match_ymd(candidate: ResolvedCandidate, events: EventIndex,
+                     window_days: int = DEFAULT_WINDOW_DAYS) -> list[MatchResult]:
+    """Every event of the candidate's country against [start, end + window]."""
+    if not candidate.date.is_matchable:
+        return []
+    lo, hi = _candidate_interval(candidate.date)
+    matches = []
+    for event in events.for_country(candidate.country.iso3):
+        window_end = event.end_date + timedelta(days=window_days)
+        if lo <= window_end and hi >= event.start_date:
+            matches.append(MatchResult(event.event_id, candidate, Strategy.YMD,
+                                       candidate.date, candidate.country))
+    return matches
+
+
+def oracle_match_ym(candidate: ResolvedCandidate, events: EventIndex) -> list[MatchResult]:
+    """Every event of the candidate's country against the candidate's month."""
+    if not candidate.date.is_matchable:
+        return []
+    month_lo, month_hi = _month_interval(candidate.date.year, candidate.date.month)
+    matches = []
+    for event in events.for_country(candidate.country.iso3):
+        if month_lo <= event.end_date and month_hi >= event.start_date:
+            matches.append(MatchResult(event.event_id, candidate, Strategy.YM,
+                                       candidate.date, candidate.country))
+    return matches

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverage_auditor.dates import (DateMention, YearSource, distinct_years,
                                     find_dates, infer_year)
+from oracles import oracle_find_dates
 
 
 def spans(text):
@@ -37,6 +40,11 @@ def test_longest_pattern_wins():
 def test_invalid_components_are_skipped():
     assert spans("on 2019-13-40 nothing happened") == []
     assert spans("the flood of 1862 was historic") == []  # outside 1900-2100
+
+
+def test_modifier_with_dotted_or_dotless_i():
+    # IGNORECASE matches "mİd" and "mıd"; neither lower-cases to "mid".
+    assert spans("in mİd-June and mıd July") == [(15, 6, None), (15, 7, None)]
 
 
 def test_bare_year_is_never_matchable():
@@ -101,3 +109,41 @@ def test_no_year_anywhere_stays_unresolved():
 def test_json_round_trip():
     m = DateMention("April 13, 2019", 13, 4, 2019, YearSource.EXPLICIT)
     assert DateMention.from_json_dict(m.to_json_dict()) == m
+
+
+# --- the anchored scan against the full pattern tried everywhere --------------
+
+MONTH_WORDS = ["January", "February", "March", "April", "May", "June", "July",
+               "August", "September", "October", "November", "December",
+               "Jan.", "Feb", "Mar.", "Apr", "Jun.", "Jul", "Aug.", "Sept.",
+               "Sep", "Oct.", "Nov", "Dec.", "\u017fept", "Aprİl", "mİd", "early",
+               "Mid", "LATE", "earl", "mi", "lat"]
+DATE_FRAGMENTS = [
+    "Ma", "rch", "Ju", "ne", "ly", "ber", "uary", "y", "\u017f", "\u212a", "İ", "ı",
+    "2019", "1862", "13", "3", "31", "29", "12345", "2019-04-13", "2019-13-40",
+    "1st", "2nd", "3RD", "13th", "22Nd", "\u0662\u0660\u0661\u0669", "\u0661\u0663",
+    "\u0968\u0966\u0967\u096f", "\uff12\uff10\uff11\uff19", "early-", "mid ", "late",
+    "Mid-", " ", "  ", ",", ", ", ".", "-", "\n", "(", ")", "'", "_", "x", "pre", "a1",
+]
+
+
+@st.composite
+def mixed_case(draw, words):
+    word = draw(st.sampled_from(words))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if u else c.lower() for c, u in zip(word, upper))
+
+
+date_text = st.lists(st.one_of(st.sampled_from(MONTH_WORDS), mixed_case(MONTH_WORDS),
+                               st.sampled_from(DATE_FRAGMENTS)),
+                     max_size=16).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=date_text)
+@example(text="in early June and mid-July, late August")
+@example(text="xMarch 2019, 1March, \u017feptember 5, 2019 and m\u0130d-June")
+@example(text="on \u0661\u0663 April \u0662\u0660\u0661\u0669 or 2019-04-13")
+def test_anchored_scan_matches_full_scan_oracle(text):
+    got = [m.to_json_dict() for m in find_dates(text)]
+    assert got == [m.to_json_dict() for m in oracle_find_dates(text)]

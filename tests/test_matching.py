@@ -1,13 +1,17 @@
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverage_auditor.dates import DateMention, YearSource
 from coverage_auditor.ground_truth import ConsolidatedEvent
 from coverage_auditor.matching import (EventIndex, Strategy, evaluate,
                                        match_all, match_ym, match_ymd)
 from coverage_auditor.places import PlaceMention, ResolvedCandidate
+from oracles import oracle_match_ym, oracle_match_ymd
 
 
 def make_event(registry, iso3, start, end, fatalities=None):
@@ -104,6 +108,65 @@ def test_unmatchable_date_matches_nothing(registry):
     cand = make_candidate(registry, "USA", 2018, None)
     assert match_ymd(cand, index) == []
     assert match_ym(cand, index) == []
+
+
+def test_open_ended_event_matches_without_leaving_the_calendar(registry):
+    index = EventIndex([make_event(registry, "PAK", date(2012, 8, 1), date.max)])
+    inside = make_candidate(registry, "PAK", 2019, 4, 13)
+    before = make_candidate(registry, "PAK", 2012, 7, 31)
+    assert [m.event_id for m in match_ymd(inside, index)] == ["PAK-2012-08-01"]
+    assert match_ymd(before, index) == []
+    assert [m.event_id for m in match_ym(inside, index)] == ["PAK-2012-08-01"]
+    assert match_ym(before, index) == []
+
+
+# --- the interval search against every event of the country -------------------
+
+# Events start within four months around a leap day, last 0-60 days, and
+# often share a start; candidate days are any of 1-31 (clamped to the month)
+# or an event's own start or end.
+EVENT_BASE = date(2019, 12, 1)
+
+
+@st.composite
+def match_cases(draw):
+    """(iso3, start, end) events and (iso3, year, month, day) candidates."""
+    events = []
+    for iso3 in ("PAK", "IND"):
+        for _ in range(draw(st.integers(0, 12))):
+            start = EVENT_BASE + timedelta(days=draw(st.integers(0, 120)))
+            end = start + timedelta(days=draw(st.sampled_from([0, 1, 3, 12, 30, 60])))
+            events.append((iso3, start, end))
+    candidates = []
+    for _ in range(draw(st.integers(1, 8))):
+        if events and draw(st.booleans()):
+            iso3, *bounds = draw(st.sampled_from(events))
+            day = draw(st.sampled_from(bounds))
+            candidates.append((iso3, day.year, day.month, day.day))
+        else:
+            candidates.append((draw(st.sampled_from(["PAK", "IND", "USA"])),
+                               draw(st.sampled_from([2019, 2020, None])),
+                               draw(st.integers(1, 12)),
+                               draw(st.sampled_from([None, 1, 15, 28, 29, 30, 31]))))
+    return events, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=match_cases(), window_days=st.sampled_from([0, 1, 5, 40]))
+@example(case=([("PAK", date(2020, 2, 29), date(2020, 3, 2)),
+                ("PAK", date(2020, 1, 31), date(2020, 1, 31))],
+               [("PAK", 2020, 2, 29), ("PAK", 2020, 1, None), ("PAK", 2020, 2, 31)]),
+         window_days=0)
+def test_interval_search_matches_full_scan_oracle(registry, case, window_days):
+    events, candidates = case
+    index = EventIndex(replace(make_event(registry, iso3, start, end), event_id=f"E{i:02d}")
+                       for i, (iso3, start, end) in enumerate(events))
+    for k, (iso3, year, month, day) in enumerate(candidates):
+        cand = make_candidate(registry, iso3, year, month, day, sentence_index=k)
+        assert ([m.to_json_dict() for m in match_ymd(cand, index, window_days)]
+                == [m.to_json_dict() for m in oracle_match_ymd(cand, index, window_days)])
+        assert ([m.to_json_dict() for m in match_ym(cand, index)]
+                == [m.to_json_dict() for m in oracle_match_ym(cand, index)])
 
 
 # --- YMD(window=0) is contained in YM, on random pairs --------------------------

@@ -10,6 +10,7 @@ import pytest
 from coverage_auditor import pipeline
 from coverage_auditor.cli import main
 from coverage_auditor.corpus import CandidateSentence
+from coverage_auditor.countries import CountryRegistry
 from coverage_auditor.pipeline import STAGES, ARTIFACTS, PipelineConfig, run_pipeline
 from coverage_auditor.places import GazetteerSpotter
 from conftest import FIXTURES
@@ -79,6 +80,45 @@ def test_stage_failing_mid_write_leaves_no_artifact(fresh, tmp_path, monkeypatch
     assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
     assert _statuses(out) == ["skipped"] + ["ran"] * 4
     assert _outputs(out) == _outputs(fresh)
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_write_jsonl_writes_one_dumps_line_per_row(tmp_path, n):
+    rows = [{"id": i, "text": "Überschwemmung in Köln — 洪水 \"ſ\"\n",
+             "nested": {"b": [1.5, None, -0.1], "a": {"z": 1e-7, "y": True}},
+             "ratio": i / 7, "missing": None} for i in range(n)]
+    path = tmp_path / "rows.jsonl"
+    assert pipeline.write_jsonl(path, (row for row in rows)) == n
+    assert path.read_bytes() == "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        for r in rows).encode("utf-8")
+
+
+def test_run_loads_the_country_registry_once(monkeypatch, tmp_path):
+    loads = []
+    load = CountryRegistry.load
+    monkeypatch.setattr(CountryRegistry, "load",
+                        lambda *args: loads.append(args) or load(*args))
+    cfg = PipelineConfig.from_ini(E2E / "config.ini")
+    run_pipeline(cfg, tmp_path / "run")
+    assert len(loads) == 1
+    pipeline.stage_match(cfg, tmp_path / "run")  # a stage on its own loads its own
+    assert len(loads) == 2
+
+
+def test_open_ended_event_date_runs_under_both_strategies(tmp_path):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    with open(inputs / "floodlist.csv", "a", encoding="utf-8") as fh:
+        fh.write("Pakistan,2012-08-01,9999-12-31,1,,floods,FL-900\n")
+    with open(inputs / "emdat.csv", "a", encoding="utf-8") as fh:
+        fh.write("PAK,Pakistan,2012-08-02,9999-12-31,1,,Flood,EM-2012-0900\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(inputs / "config.ini"), "--out", str(out)]) == 0
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    assert any(e["end_date"] == "9999-12-31" for e in events)
+    assert main(["match", "--config", str(inputs / "config.ini"), "--out", str(out),
+                 "--strategy", "ym"]) == 0
 
 
 @pytest.fixture()
