@@ -91,8 +91,14 @@ _ANCHOR_RE = re.compile(
 _YEAR_TOKEN_RE = re.compile(r"\b(\d{4})\b")
 
 
+# The non-ASCII letters that IGNORECASE equates with ASCII ones (İ and ı
+# with i, long s with s, the Kelvin sign with k); lower() maps none of them
+# onto that ASCII letter, so a month token is folded through this first.
+_ASCII_FOLD = str.maketrans("\u0130\u0131\u017f\u212a", "iisk")
+
+
 def _month_num(token: str) -> int | None:
-    return _MONTHS.get(token.rstrip(".").lower())
+    return _MONTHS.get(token.rstrip(".").translate(_ASCII_FOLD).lower())
 
 
 def _valid_year(y: int) -> bool:

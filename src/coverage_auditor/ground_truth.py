@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from operator import attrgetter
 from typing import BinaryIO, Iterable
 
 from .countries import CountryCode, CountryRegistry
@@ -145,7 +145,8 @@ def parse_source_records(raw_file: BinaryIO, source_id: Source) -> ParseResult:
     Malformed rows go to ``rejects`` with line number and reason; rows
     dropped by source-specific relevance filters (non-flood/storm disaster
     types, landslide-only news tags) go to ``excluded``. Nothing is
-    silently dropped.
+    silently dropped. Blank rows are skipped and not numbered, so the first
+    data row is line 2 and each later non-blank row adds one.
     """
     # Detach on the way out, so that closing raw_file stays the caller's job
     # and the wrapper never closes (or leaks) it.
@@ -158,8 +159,8 @@ def parse_source_records(raw_file: BinaryIO, source_id: Source) -> ParseResult:
 
 def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
     try:
-        reader = csv.DictReader(text)
-        header = reader.fieldnames
+        reader = csv.reader(text)
+        header = next(reader, None)
     except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"unreadable {source_id.value} file: {exc}") from exc
 
@@ -168,6 +169,8 @@ def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
         raise IOError(
             f"{source_id.value}: header {header} does not match schema {expected}")
 
+    build = _BUILDERS[source_id]
+    width = len(expected)
     records: list[SourceRecord] = []
     rejects: list[RejectedRow] = []
     excluded: list[RejectedRow] = []
@@ -175,15 +178,21 @@ def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
     # multi-country disaster, so uniqueness is keyed on (id, country).
     seen_ids: set[tuple[str, str]] = set()
 
-    for line_no, row in enumerate(reader, start=2):
+    line_no = 1
+    for row in reader:
+        if not row:
+            continue
+        line_no += 1
+        if len(row) < width:
+            rejects.append(RejectedRow(line_no, "short row"))
+            continue
         try:
-            record = _row_to_record(row, source_id)
-        except (ValueError, KeyError, TypeError) as exc:
-            rejects.append(RejectedRow(line_no, str(exc), raw=json.dumps(row)))
+            record = build(row)
+        except ValueError as exc:
+            rejects.append(RejectedRow(line_no, str(exc)))
             continue
         if record is None:
-            excluded.append(RejectedRow(line_no, _exclusion_reason(row, source_id),
-                                        raw=json.dumps(row)))
+            excluded.append(RejectedRow(line_no, _exclusion_reason(row, source_id)))
             continue
         key = (record.native_id, record.country_raw.strip().lower())
         if key in seen_ids:
@@ -195,66 +204,60 @@ def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
     return ParseResult(records, rejects, excluded)
 
 
-def _exclusion_reason(row: dict, source_id: Source) -> str:
+def _exclusion_reason(row: list[str], source_id: Source) -> str:
     if source_id is Source.EMDAT:
-        return f"disaster_type {row.get('disaster_type')!r} is not flood/storm"
+        dtype = row[_SCHEMAS[Source.EMDAT].index("disaster_type")]
+        return f"disaster_type {dtype!r} is not flood/storm"
     return "tagged only as landslides"
 
 
-def _row_to_record(row: dict, source_id: Source) -> SourceRecord | None:
-    """Map one CSV row to a SourceRecord, or None if filtered out."""
-    if any(v is None for v in row.values()):
-        raise ValueError("short row")
+# One builder per source maps a row, by position, to a SourceRecord, or to
+# None when the source's relevance filter drops it; fields past the schema's
+# are ignored. A malformed field raises ValueError; faults are tested in the
+# order filter, dates, counts, id, then end before start.
 
-    if source_id is Source.FLOODLIST:
-        tags = [t.strip().lower() for t in row["tags"].split(";") if t.strip()]
-        # News items tagged only as landslides are not floods.
-        if tags and set(tags) == {"landslides"}:
-            return None
-        start, end = _parse_date(row["start_date"]), _parse_date(row["end_date"])
-        record = SourceRecord(
-            source_id=source_id,
-            country_raw=row["country"],
-            start_date=_require(start, "start_date"),
-            end_date=end,
-            fatalities=_parse_count(row["fatalities"]),
-            affected=None,
-            locations=[loc.strip() for loc in row["locations"].split(";") if loc.strip()],
-            native_id=row["id"].strip(),
-            disaster_type="Flood",
-        )
-    elif source_id is Source.EMDAT:
-        # Keep only events whose primary disaster type is a flood or storm.
-        dtype = row["disaster_type"].strip()
-        if not any(word in dtype.lower() for word in ("flood", "storm")):
-            return None
-        record = SourceRecord(
-            source_id=source_id,
-            country_raw=row["country"],
-            start_date=_require(_parse_date(row["start_date"]), "start_date"),
-            end_date=_parse_date(row["end_date"]),
-            fatalities=_parse_count(row["deaths"]),
-            affected=row["affected"].strip() or None,
-            locations=[],
-            native_id=row["id"].strip(),
-            disaster_type=dtype,
-        )
-    elif source_id is Source.DFO:
-        displaced = row["displaced"].strip()
-        record = SourceRecord(
-            source_id=source_id,
-            country_raw=row["country"],
-            start_date=_require(_parse_date(row["began"]), "began"),
-            end_date=_parse_date(row["ended"]),
-            fatalities=_parse_count(row["dead"]),
-            affected=f"{displaced} displaced" if displaced else None,
-            locations=[],
-            native_id=row["id"].strip(),
-            disaster_type="Flood",
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown source {source_id}")
+def _floodlist_record(row: list[str]) -> SourceRecord | None:
+    country, start, end, fatalities, locations, tags, native_id, *_ = row
+    tags = [t.strip().lower() for t in tags.split(";") if t.strip()]
+    # News items tagged only as landslides are not floods.
+    if tags and set(tags) == {"landslides"}:
+        return None
+    start, end = _parse_date(start), _parse_date(end)
+    return _checked(SourceRecord(
+        Source.FLOODLIST, country, _require(start, "start_date"), end,
+        _parse_count(fatalities), None,
+        [loc.strip() for loc in locations.split(";") if loc.strip()],
+        native_id.strip(), "Flood"))
 
+
+def _emdat_record(row: list[str]) -> SourceRecord | None:
+    _, country, start, end, deaths, affected, dtype, native_id, *_ = row
+    # Keep only events whose primary disaster type is a flood or storm.
+    dtype = dtype.strip()
+    lowered = dtype.lower()
+    if "flood" not in lowered and "storm" not in lowered:
+        return None
+    return _checked(SourceRecord(
+        Source.EMDAT, country, _require(_parse_date(start), "start_date"),
+        _parse_date(end), _parse_count(deaths), affected.strip() or None, [],
+        native_id.strip(), dtype))
+
+
+def _dfo_record(row: list[str]) -> SourceRecord | None:
+    country, began, ended, dead, displaced, native_id, *_ = row
+    displaced = displaced.strip()
+    return _checked(SourceRecord(
+        Source.DFO, country, _require(_parse_date(began), "began"),
+        _parse_date(ended), _parse_count(dead),
+        f"{displaced} displaced" if displaced else None, [],
+        native_id.strip(), "Flood"))
+
+
+_BUILDERS = {Source.FLOODLIST: _floodlist_record, Source.EMDAT: _emdat_record,
+             Source.DFO: _dfo_record}
+
+
+def _checked(record: SourceRecord) -> SourceRecord:
     if not record.native_id:
         raise ValueError("empty id")
     if record.end_date is not None and record.end_date < record.start_date:
@@ -270,30 +273,64 @@ def _require(value, name):
 
 # --- normalization ---------------------------------------------------------
 
+_IMPUTED_DURATION = timedelta(days=IMPUTED_DURATION_DAYS)
+
+
 def impute_end_date(record: SourceRecord) -> SourceRecord:
-    """Fill a missing end date as start + 3 days (median flood duration)."""
-    if record.end_date is not None:
-        return record
-    return replace(record, end_date=record.start_date + timedelta(days=IMPUTED_DURATION_DAYS))
+    """Fill a missing end date, in place, as start + 3 days (median flood
+    duration). Raises OverflowError when that falls past ``date.max``."""
+    if record.end_date is None:
+        record.end_date = record.start_date + _IMPUTED_DURATION
+    return record
+
+
+def impute_end_dates(records: Iterable[SourceRecord],
+                     ) -> tuple[list[SourceRecord], list[RejectedRow]]:
+    """Impute missing end dates; a record whose end would fall past the
+    calendar is reported, never clamped."""
+    dated: list[SourceRecord] = []
+    undatable: list[RejectedRow] = []
+    for rec in records:
+        try:
+            dated.append(impute_end_date(rec))
+        except OverflowError:
+            undatable.append(RejectedRow(0, f"imputed end_date past {date.max}",
+                                         raw=_ref(rec)))
+    return dated, undatable
 
 
 def resolve_countries(records: Iterable[SourceRecord], registry: CountryRegistry,
                       ) -> tuple[list[SourceRecord], list[RejectedRow]]:
-    """Attach CountryCodes; unresolved names are reported, never guessed."""
+    """Attach CountryCodes in place; unresolved names are reported, never
+    guessed. Each distinct raw spelling is looked up once."""
     resolved: list[SourceRecord] = []
     unresolved: list[RejectedRow] = []
+    by_spelling: dict[str, CountryCode | None] = {}
     for rec in records:
-        country = registry.normalize_country(rec.country_raw)
-        if country is None:
-            unresolved.append(RejectedRow(
-                0, f"unresolved country {rec.country_raw!r}",
-                raw=f"{rec.source_id.value}:{rec.native_id}"))
+        raw = rec.country_raw
+        if raw in by_spelling:
+            country = by_spelling[raw]
         else:
-            resolved.append(replace(rec, country=country))
+            country = by_spelling[raw] = registry.normalize_country(raw)
+        if country is None:
+            unresolved.append(RejectedRow(0, f"unresolved country {raw!r}", raw=_ref(rec)))
+        else:
+            rec.country = country
+            resolved.append(rec)
     return resolved, unresolved
 
 
+def _ref(rec: SourceRecord) -> str:
+    return f"{rec.source_id.value}:{rec.native_id}"
+
+
 # --- consolidation ---------------------------------------------------------
+
+# Source is a str enum, so ordering on the member orders on its value.
+_BY_RANGE = attrgetter("start_date", "end_date", "source_id", "native_id")
+_BY_SOURCE_ID = attrgetter("source_id", "native_id")
+_SOURCE_NAMES = {source: source.value for source in Source}
+
 
 def consolidate(records: list[SourceRecord]) -> list[ConsolidatedEvent]:
     """Merge records into country-level events.
@@ -306,21 +343,21 @@ def consolidate(records: list[SourceRecord]) -> list[ConsolidatedEvent]:
     by_country: dict[str, list[SourceRecord]] = {}
     for rec in records:
         if rec.country is None:
-            raise ValueError(f"unresolved country on {rec.source_id.value}:{rec.native_id}")
+            raise ValueError(f"unresolved country on {_ref(rec)}")
         if rec.end_date is None:
-            raise ValueError(f"missing end_date on {rec.source_id.value}:{rec.native_id}")
+            raise ValueError(f"missing end_date on {_ref(rec)}")
         by_country.setdefault(rec.country.iso3, []).append(rec)
 
     events: list[ConsolidatedEvent] = []
     for iso3 in sorted(by_country):
-        group = sorted(by_country[iso3],
-                       key=lambda r: (r.start_date, r.end_date, r.source_id.value, r.native_id))
+        group = sorted(by_country[iso3], key=_BY_RANGE)
         cluster: list[SourceRecord] = []
         cluster_end: date | None = None
         for rec in group:
             if cluster and rec.start_date <= cluster_end:
                 cluster.append(rec)
-                cluster_end = max(cluster_end, rec.end_date)
+                if rec.end_date > cluster_end:
+                    cluster_end = rec.end_date
             else:
                 if cluster:
                     events.append(_build_event(cluster))
@@ -328,38 +365,47 @@ def consolidate(records: list[SourceRecord]) -> list[ConsolidatedEvent]:
                 cluster_end = rec.end_date
         if cluster:
             events.append(_build_event(cluster))
-
-    events.sort(key=lambda e: (e.country.iso3, e.start_date, e.event_id))
+    # Countries in order, each one's disjoint clusters by start: the events
+    # come out sorted by (country, start), and so by event_id.
     return events
 
 
 def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
-    members = sorted(members, key=lambda r: (r.source_id.value, r.native_id))
-    start = min(r.start_date for r in members)
-    end = max(r.end_date for r in members)
+    members.sort(key=_BY_SOURCE_ID)
     country = members[0].country
     assert country is not None
-
-    native_ids = sorted((r.source_id.value, r.native_id) for r in members)
-    sources = {r.source_id for r in members}
-
-    member_fatalities = [(r.source_id.value, r.native_id, r.fatalities)
-                         for r in members if r.fatalities is not None]
-    # Sources report the same death toll with different completeness; the
-    # max avoids double counting while keeping the most complete figure.
-    fatalities = max((v for _, _, v in member_fatalities), default=None)
-
-    affected = next((r.affected for r in members if r.affected), None)
-
+    start = members[0].start_date
+    end = members[0].end_date
+    native_ids: list[tuple[str, str]] = []
+    member_fatalities: list[tuple[str, str, int]] = []
+    fatalities = None
+    affected = None
     locations_by_source: dict[str, list[str]] = {}
+    disaster_types: set[str] = set()
+    sources: set[Source] = set()
     for rec in members:
+        source = _SOURCE_NAMES[rec.source_id]
+        if rec.start_date < start:
+            start = rec.start_date
+        if rec.end_date > end:
+            end = rec.end_date
+        # Sorted by (source, id), so these pairs come out sorted.
+        native_ids.append((source, rec.native_id))
+        if rec.fatalities is not None:
+            member_fatalities.append((source, rec.native_id, rec.fatalities))
+            # Sources report the same death toll with different completeness;
+            # the max avoids double counting while keeping the most complete.
+            if fatalities is None or rec.fatalities > fatalities:
+                fatalities = rec.fatalities
+        if affected is None and rec.affected:
+            affected = rec.affected
         if rec.locations:
-            bucket = locations_by_source.setdefault(rec.source_id.value, [])
+            bucket = locations_by_source.setdefault(source, [])
             for loc in rec.locations:
                 if loc not in bucket:
                     bucket.append(loc)
-
-    disaster_type = ", ".join(sorted({r.disaster_type for r in members}))
+        disaster_types.add(rec.disaster_type)
+        sources.add(rec.source_id)
 
     return ConsolidatedEvent(
         event_id=f"{country.iso3}-{start.isoformat()}",
@@ -370,7 +416,7 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
         affected=affected,
         locations_by_source=locations_by_source,
         native_ids=native_ids,
-        disaster_type=disaster_type,
+        disaster_type=", ".join(sorted(disaster_types)),
         in_emdat=Source.EMDAT in sources,
         in_dartmouth=Source.DFO in sources,
         in_floodlist=Source.FLOODLIST in sources,

@@ -30,7 +30,7 @@ from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
                       LiveGeocoderClient, ReplayGeocoderClient, geocache_path)
 from .ground_truth import (ConsolidatedEvent, Source, consolidate,
-                           filter_multi_source, impute_end_date,
+                           filter_multi_source, impute_end_dates,
                            parse_source_records, resolve_countries,
                            venn_counts)
 from .matching import EventIndex, Strategy, match_all
@@ -368,10 +368,10 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
         excluded.extend({"source": source_id.value, "line": r.line_no,
                          "reason": r.reason} for r in result.excluded)
 
-    records = [impute_end_date(r) for r in records]
-    resolved, unresolved = resolve_countries(records, registry)
+    dated, undatable = impute_end_dates(records)
+    resolved, unresolved = resolve_countries(dated, registry)
     rejects.extend({"source": "normalize", "line": r.line_no, "reason": r.reason,
-                    "record": r.raw} for r in unresolved)
+                    "record": r.raw} for r in undatable + unresolved)
 
     events = consolidate(resolved)
     kept = filter_multi_source(events, cfg.min_sources)

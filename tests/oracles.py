@@ -4,6 +4,8 @@ Deliberately naive, but obviously correct, which is the point:
 - consolidation repeatedly merges any two clusters that share a country
   and contain at least one overlapping pair of records, until nothing
   merges (O(n^3)-ish);
+- source CSV parsing reads each row into a dict keyed by header name
+  (``csv.DictReader``), as the parser did before it read rows by position;
 - whole-text country inference searches for every alias on its own;
 - candidate extraction segments and keyword-tests every sentence of every
   article, with no article-level gate;
@@ -13,8 +15,12 @@ Deliberately naive, but obviously correct, which is the point:
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import re
 from datetime import timedelta
+from typing import BinaryIO
 
 from coverage_auditor.corpus import (Article, CandidateSentence,
                                      _owning_sentence, _sentence_spans,
@@ -23,7 +29,9 @@ from coverage_auditor.countries import CountryCode, normalize_name
 from coverage_auditor.dates import (_DATE_RE, _MODIFIER_DAY, DateMention,
                                     YearSource, _day_num, _month_num,
                                     _valid_year, distinct_years)
-from coverage_auditor.ground_truth import SourceRecord
+from coverage_auditor.ground_truth import (_SCHEMAS, ParseResult, RejectedRow,
+                                           Source, SourceRecord, _parse_count,
+                                           _parse_date, _require)
 from coverage_auditor.matching import (DEFAULT_WINDOW_DAYS, EventIndex,
                                        MatchResult, Strategy,
                                        _candidate_interval, _month_interval)
@@ -67,6 +75,122 @@ def oracle_consolidate(records: list[SourceRecord]) -> set[tuple]:
         )
         for cluster in clusters
     }
+
+
+def oracle_parse_source_records(raw_file: BinaryIO, source_id: Source) -> ParseResult:
+    """The ``csv.DictReader`` parser that positional parsing replaced: one
+    dict per row, fields looked up by header name."""
+    text = io.TextIOWrapper(raw_file, encoding="utf-8")
+    try:
+        return _oracle_parse_rows(text, source_id)
+    finally:
+        text.detach()
+
+
+def _oracle_parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
+    try:
+        reader = csv.DictReader(text)
+        header = reader.fieldnames
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOError(f"unreadable {source_id.value} file: {exc}") from exc
+
+    expected = _SCHEMAS[source_id]
+    if header is None or [h.strip() for h in header] != expected:
+        raise IOError(
+            f"{source_id.value}: header {header} does not match schema {expected}")
+
+    records: list[SourceRecord] = []
+    rejects: list[RejectedRow] = []
+    excluded: list[RejectedRow] = []
+    # EM-DAT repeats one identifier across the per-country rows of a
+    # multi-country disaster, so uniqueness is keyed on (id, country).
+    seen_ids: set[tuple[str, str]] = set()
+
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            record = _oracle_row_to_record(row, source_id)
+        except (ValueError, KeyError, TypeError) as exc:
+            rejects.append(RejectedRow(line_no, str(exc), raw=json.dumps(row)))
+            continue
+        if record is None:
+            excluded.append(RejectedRow(line_no, _oracle_exclusion_reason(row, source_id),
+                                        raw=json.dumps(row)))
+            continue
+        key = (record.native_id, record.country_raw.strip().lower())
+        if key in seen_ids:
+            rejects.append(RejectedRow(line_no, f"duplicate id {record.native_id!r}"))
+            continue
+        seen_ids.add(key)
+        records.append(record)
+
+    return ParseResult(records, rejects, excluded)
+
+
+def _oracle_exclusion_reason(row: dict, source_id: Source) -> str:
+    if source_id is Source.EMDAT:
+        return f"disaster_type {row.get('disaster_type')!r} is not flood/storm"
+    return "tagged only as landslides"
+
+
+def _oracle_row_to_record(row: dict, source_id: Source) -> SourceRecord | None:
+    """Map one CSV row to a SourceRecord, or None if filtered out."""
+    if any(v is None for v in row.values()):
+        raise ValueError("short row")
+
+    if source_id is Source.FLOODLIST:
+        tags = [t.strip().lower() for t in row["tags"].split(";") if t.strip()]
+        # News items tagged only as landslides are not floods.
+        if tags and set(tags) == {"landslides"}:
+            return None
+        start, end = _parse_date(row["start_date"]), _parse_date(row["end_date"])
+        record = SourceRecord(
+            source_id=source_id,
+            country_raw=row["country"],
+            start_date=_require(start, "start_date"),
+            end_date=end,
+            fatalities=_parse_count(row["fatalities"]),
+            affected=None,
+            locations=[loc.strip() for loc in row["locations"].split(";") if loc.strip()],
+            native_id=row["id"].strip(),
+            disaster_type="Flood",
+        )
+    elif source_id is Source.EMDAT:
+        # Keep only events whose primary disaster type is a flood or storm.
+        dtype = row["disaster_type"].strip()
+        if not any(word in dtype.lower() for word in ("flood", "storm")):
+            return None
+        record = SourceRecord(
+            source_id=source_id,
+            country_raw=row["country"],
+            start_date=_require(_parse_date(row["start_date"]), "start_date"),
+            end_date=_parse_date(row["end_date"]),
+            fatalities=_parse_count(row["deaths"]),
+            affected=row["affected"].strip() or None,
+            locations=[],
+            native_id=row["id"].strip(),
+            disaster_type=dtype,
+        )
+    elif source_id is Source.DFO:
+        displaced = row["displaced"].strip()
+        record = SourceRecord(
+            source_id=source_id,
+            country_raw=row["country"],
+            start_date=_require(_parse_date(row["began"]), "began"),
+            end_date=_parse_date(row["ended"]),
+            fatalities=_parse_count(row["dead"]),
+            affected=f"{displaced} displaced" if displaced else None,
+            locations=[],
+            native_id=row["id"].strip(),
+            disaster_type="Flood",
+        )
+    else:  # pragma: no cover
+        raise ValueError(f"unknown source {source_id}")
+
+    if not record.native_id:
+        raise ValueError("empty id")
+    if record.end_date is not None and record.end_date < record.start_date:
+        raise ValueError(f"end_date {record.end_date} before start_date {record.start_date}")
+    return record
 
 
 def oracle_infer_country(sentence: str, title: str,

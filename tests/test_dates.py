@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,9 +28,29 @@ def spans(text):
     ("serial number 3456 is not a year", []),
     ("it may rain in may", []),                 # lowercase month = verb/noun
     ("Sept. 8, 2017 update", [(8, 9, 2017)]),
+    # IGNORECASE matches these month names; the month must resolve too.
+    ("on \u017feptember 5, 2019 it rained", [(5, 9, 2019)]),
+    ("on Apr\u0130l 13, 2019 it rained", [(13, 4, 2019)]),
 ])
 def test_date_patterns(text, expected):
     assert spans(text) == expected
+
+
+def test_every_ignorecase_spelling_of_a_month_resolves():
+    letter = re.compile("[a-z]", re.IGNORECASE)
+    names = ["January", "February", "March", "April", "May", "June", "July",
+             "August", "September", "October", "November", "December"]
+    spelled = 0
+    for char in map(chr, range(0x80, sys.maxunicode + 1)):
+        if not letter.fullmatch(char):
+            continue
+        for month, name in enumerate(names, start=1):
+            for i, c in enumerate(name):
+                if re.fullmatch(c, char, re.IGNORECASE):
+                    text = f"on {name[:i]}{char}{name[i + 1:]} 5, 2019 it rained"
+                    assert spans(text) == [(5, month, 2019)], text
+                    spelled += 1
+    assert spelled
 
 
 def test_longest_pattern_wins():

@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import random
@@ -5,13 +6,15 @@ import warnings
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coverage_auditor.ground_truth import (Source, SourceRecord, consolidate,
-                                           filter_multi_source,
+from coverage_auditor.ground_truth import (_SCHEMAS, Source, SourceRecord,
+                                           consolidate, filter_multi_source,
                                            impute_end_date,
                                            parse_source_records,
                                            resolve_countries, venn_counts)
-from oracles import oracle_consolidate
+from oracles import oracle_consolidate, oracle_parse_source_records
 
 
 def make_record(registry, iso3, start, end, source=Source.FLOODLIST,
@@ -84,6 +87,84 @@ def test_parse_rejects_wrong_header():
     bad = b"country,began,wrong,dead,displaced,id\n"
     with pytest.raises(IOError):
         parse_source_records(io.BytesIO(bad), Source.DFO)
+
+
+def test_padded_header_names_are_accepted():
+    csv_text = ("country , began,ended ,dead,displaced, id\n"
+                "Angola,2016-03-01,2016-03-10,14,9000,4321\n").encode()
+    result = parse_source_records(io.BytesIO(csv_text), Source.DFO)
+    assert [r.native_id for r in result.records] == ["4321"]
+    assert result.records[0].affected == "9000 displaced"
+    assert not result.rejects and not result.excluded
+    # Looking fields up by header name found none of the padded ones.
+    old = oracle_parse_source_records(io.BytesIO(csv_text), Source.DFO)
+    assert [(r.line_no, r.reason) for r in old.rejects] == [(2, "'country'")]
+
+
+# Generated source files: each field draws mostly from values that parse
+# (some need quoting: commas, newlines) and otherwise from values that fail
+# (bad dates and counts, negative counts, empty ids); rows may be short,
+# long or blank, and the few ids repeat.
+FIELD_VALUES = {  # kind: (values that parse, values that fail)
+    "country": (["Angola", "angola ", "Cuba", "Korea, Republic of", "Haiti\nSud"],
+                [""]),
+    "iso": (["AGO", "", "CUB"], []),
+    "date": (["2018-06-01", "2018-06-03", " 2018-06-02 ", "", "9999-12-31"],
+             ["2018-13-01", "June 1"]),
+    "count": (["", "5", " 12 ", "0"], ["-3", "x", "1.5"]),
+    "locations": (["", "Lobito;Benguela", "a; ;b", "Lobito, Benguela", "x\r\ny"], []),
+    "tags": (["floods", "floods;landslides", "", " ; "],
+             ["landslides", "Landslides ; landslides"]),
+    "disaster_type": (["Flood", "Storm", "flash flood", "Drought, storm"],
+                      ["Earthquake", ""]),
+    "affected": (["", "9000", " 12 "], []),
+    "id": (["A1", "A2", "A1 "], ["", " "]),
+}
+FIELD_KINDS = {
+    Source.FLOODLIST: ["country", "date", "date", "count", "locations", "tags", "id"],
+    Source.EMDAT: ["iso", "country", "date", "date", "count", "affected",
+                   "disaster_type", "id"],
+    Source.DFO: ["country", "date", "date", "count", "affected", "id"],
+}
+
+
+@st.composite
+def field_value(draw, kind):
+    good, bad = FIELD_VALUES[kind]
+    return draw(st.sampled_from(bad if bad and draw(st.integers(0, 7)) == 0 else good))
+
+
+@st.composite
+def source_files(draw):
+    source = draw(st.sampled_from(list(Source)))
+    kinds = FIELD_KINDS[source]
+    rows = [_SCHEMAS[source]]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([])  # a blank line
+            continue
+        width = draw(st.sampled_from([len(kinds)] * 6 + [0, 1, len(kinds) - 1,
+                                                         len(kinds) + 1]))
+        rows.append([draw(field_value(kinds[i])) if i < len(kinds)
+                     else draw(st.sampled_from(["", "extra", "a,b"]))
+                     for i in range(width)])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows(rows)
+    return source, out.getvalue().encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(source_files())
+def test_positional_parse_matches_dict_reader_oracle(case):
+    source, data = case
+    got = parse_source_records(io.BytesIO(data), source)
+    want = oracle_parse_source_records(io.BytesIO(data), source)
+    assert got.records == want.records
+    assert [(r.line_no, r.reason) for r in got.rejects] == \
+        [(r.line_no, r.reason) for r in want.rejects]
+    assert [(r.line_no, r.reason) for r in got.excluded] == \
+        [(r.line_no, r.reason) for r in want.excluded]
 
 
 def test_impute_end_date_adds_three_days(registry):

@@ -61,6 +61,22 @@ def test_single_stage_command_equals_fresh_run(fresh, tmp_path, stage):
     assert _outputs(out) == _outputs(fresh)
 
 
+def test_end_date_past_the_calendar_is_rejected(fresh, tmp_path):
+    inputs = tmp_path / "in"
+    shutil.copytree(E2E, inputs)
+    with open(inputs / "floodlist.csv", "a", encoding="utf-8") as fh:
+        fh.write("Pakistan,9999-12-30,,1,,floods,FL-901\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(inputs / "config.ini"), "--out", str(out)]) == 0
+    rejects = [json.loads(line)
+               for line in (out / "gt_rejects.jsonl").read_text().splitlines()]
+    assert {"source": "normalize", "line": 0, "record": "floodlist:FL-901",
+            "reason": "imputed end_date past 9999-12-31"} in rejects
+    assert len(rejects) == len((fresh / "gt_rejects.jsonl").read_text().splitlines()) + 1
+    for stage in STAGES:
+        assert (out / ARTIFACTS[stage]).read_bytes() == (fresh / ARTIFACTS[stage]).read_bytes()
+
+
 def test_stage_failing_mid_write_leaves_no_artifact(fresh, tmp_path, monkeypatch):
     to_json_dict = CandidateSentence.to_json_dict
     written = []
