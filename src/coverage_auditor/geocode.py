@@ -42,6 +42,7 @@ class GeocoderResult:
 
 class GeocoderClient(Protocol):
     identity: str  # which geocoder answers: the endpoint, or replay file digest
+    max_inflight: int  # requests worth overlapping; 1 for answers held in memory
 
     def geocode(self, query: str) -> list[GeocoderResult]: ...
 
@@ -99,6 +100,8 @@ def kb_lookup(placename: str, kb: KnowledgeBase) -> CountryCode | None:
 class ReplayGeocoderClient:
     """Serves recorded responses from a JSONL file; unknown queries get []."""
 
+    max_inflight = 1
+
     def __init__(self, path: Path):
         data = Path(path).read_bytes()
         self.identity = "replay:" + hashlib.sha256(data).hexdigest()
@@ -117,44 +120,61 @@ class ReplayGeocoderClient:
 
 
 class LiveGeocoderClient:
-    """HTTP client for a Nominatim-style JSON endpoint.
+    """Client for a Nominatim-style JSON endpoint: one HTTP/1.0 GET per
+    query (``httpget``).
 
-    Enforces a bounded number of in-flight requests and a global minimum
-    delay between request starts. Alpha-2 country codes in the answers map
-    to alpha-3 through ``registry`` (the bundled one by default).
+    An ``https`` endpoint's certificate and hostname are verified against
+    the default trust store, loaded once per client. Redirects are not
+    followed, and neither are proxies: an endpoint that the environment's
+    proxy variables would route through a proxy is refused with
+    ``ValueError``. Enforces a bounded number of in-flight requests and a
+    global minimum delay between request starts. Alpha-2 country codes in
+    the answers map to alpha-3 through ``registry`` (the bundled one by
+    default).
     """
 
     def __init__(self, endpoint: str | None = None, min_delay_ms: int = 1000,
                  max_inflight: int = 2, timeout: float = 10.0,
                  registry: CountryRegistry | None = None):
-        import os
+        from .httpget import proxy_variable
+
         self.endpoint = (endpoint or os.environ.get(DEFAULT_ENDPOINT_ENV)
                          or DEFAULT_ENDPOINT)
         self.identity = self.endpoint
+        proxy = proxy_variable(self.endpoint)
+        if proxy is not None:
+            raise ValueError(f"{proxy} is set, but the live geocoder cannot go "
+                             "through a proxy: unset it, or add the endpoint's "
+                             "host to NO_PROXY")
         self.min_delay = min_delay_ms / 1000.0
         self.timeout = timeout
         self.registry = registry
+        self.max_inflight = max_inflight
         self._gate = threading.Semaphore(max_inflight)
+        self._tls = None  # the https context, made at the first https request
         self._lock = threading.Lock()
         self._last_request = 0.0
 
     def geocode(self, query: str) -> list[GeocoderResult]:
-        """One request; an HTTP error status or a network failure raises."""
+        """One request; raises as ``httpget.get`` does."""
         from urllib.parse import urlencode
-        from urllib.request import Request, urlopen
+
+        from .httpget import get
 
         params = urlencode({"q": query, "format": "jsonv2", "addressdetails": 1})
         sep = "&" if "?" in self.endpoint else "?"
-        request = Request(f"{self.endpoint}{sep}{params}",
-                          headers={"User-Agent": "coverage-auditor/0.1"})
+        url = f"{self.endpoint}{sep}{params}"
         with self._gate:
             with self._lock:
                 wait = self._last_request + self.min_delay - time.monotonic()
                 if wait > 0:
                     time.sleep(wait)
                 self._last_request = time.monotonic()
-            with urlopen(request, timeout=self.timeout) as resp:
-                payload = json.load(resp)
+            if self._tls is None and url[:6].lower() == "https:":
+                import ssl
+                self._tls = ssl.create_default_context()
+            body = get(url, "coverage-auditor/0.1", self.timeout, self._tls)
+        payload = json.loads(body)
         registry = self.registry or default_registry()
         results = []
         for item in payload:
@@ -313,7 +333,7 @@ class CascadeResolver:
 
     def _answer(self, name: str) -> tuple[CountryCode | None, ResolverStage]:
         """What ``name`` alone resolves to: kb, then the cache (unless
-        refreshing), then the geocoder. Runs on prefetch's pool threads."""
+        refreshing), then the geocoder. May run on prefetch's pool threads."""
         country = kb_lookup(name, self.kb)
         if country is not None:
             return country, ResolverStage.GAZETTEER
@@ -333,15 +353,19 @@ class CascadeResolver:
 
     def prefetch(self, placenames: Iterable[str], workers: int) -> None:
         """Answer the distinct names not answered yet, ``workers`` at a
-        time, so that geocoder requests overlap."""
+        time, so that geocoder requests overlap; with one worker, in order
+        on the calling thread."""
         todo: dict[str, str] = {}  # normalized -> first raw spelling
         for name in placenames:
             key = normalize_name(name)
             if key not in self._answers:
                 todo.setdefault(key, name)
+        if workers <= 1:
+            self._answers.update(zip(todo, map(self._answer, todo.values())))
+            return
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             self._answers.update(zip(todo, pool.map(self._answer, todo.values())))
 
     def resolve(self, placename: str, sentence: str = "",

@@ -195,9 +195,12 @@ class PipelineConfig:
 
     def make_geocoder_client(self, registry: CountryRegistry | None = None):
         if self.geocoder == "live":
-            return LiveGeocoderClient(min_delay_ms=self.min_delay_ms,
-                                      max_inflight=self.max_inflight,
-                                      registry=registry)
+            try:
+                return LiveGeocoderClient(min_delay_ms=self.min_delay_ms,
+                                          max_inflight=self.max_inflight,
+                                          registry=registry)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         replay = self.geocoder[len("replay:"):]
         if not replay:
             return _EmptyClient()
@@ -263,6 +266,7 @@ SETTINGS = (
 
 class _EmptyClient:
     identity = "replay:"
+    max_inflight = 1
 
     def geocode(self, query: str):
         return []
@@ -456,10 +460,10 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
         places += [p for p in title_places if p.raw_span not in spans]
         spotted.append((cand, dates, places))
 
-    # Remote lookups overlap here, up to max_inflight; rows are built in
-    # candidate order below.
+    # Remote lookups overlap here, as far as the client allows; rows are
+    # built in candidate order below.
     resolver.prefetch((p.raw_span for _, _, places in spotted for p in places),
-                      cfg.max_inflight)
+                      client.max_inflight)
     resolved = []
     resolved_candidates = 0
     discarded = dict.fromkeys(["no_date", "no_place", "no_date_no_place"], 0)

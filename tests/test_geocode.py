@@ -375,6 +375,19 @@ def test_prefetch_failures_are_counted_under_contention(registry, kb, tmp_path,
     assert {r["result"] for r in rows} == {"BOL"}
 
 
+def test_prefetch_with_one_worker_stays_on_the_calling_thread(registry, kb):
+    threads = []
+
+    class ThreadRecordingClient:
+        def geocode(self, query):
+            threads.append(threading.current_thread())
+            return [GeocoderResult(query, "BOL", 0.5)]
+
+    resolver = make_resolver(registry, kb, ThreadRecordingClient())
+    resolver.prefetch([f"Place {i}" for i in range(5)], workers=1)
+    assert threads == [threading.current_thread()] * 5
+
+
 # Names the kb answers, names only the geocoder answers, and names only
 # context can place, in sentences and titles that name conflicting countries.
 MENTION_NAMES = ["Jacksonville", "JACKSONVILLE", "Japan", "Coon Valley",

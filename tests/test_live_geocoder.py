@@ -3,6 +3,9 @@ Nominatim-style HTTP server on 127.0.0.1."""
 
 import json
 import os
+import shutil
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -14,9 +17,10 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+import coverage_auditor
 from coverage_auditor.cli import main
 from coverage_auditor.countries import normalize_name
-from coverage_auditor.geocode import (CascadeResolver, GeocoderResult,
+from coverage_auditor.geocode import (CascadeResolver, GeoCache, GeocoderResult,
                                       KnowledgeBase, LiveGeocoderClient,
                                       geocache_path, remote_geocode)
 from coverage_auditor.pipeline import PipelineConfig, run_pipeline
@@ -41,15 +45,20 @@ class _Handler(BaseHTTPRequestHandler):
         # its next request as soon as it has read this one.
         with srv.lock:
             srv.inflight -= 1
-        if srv.status != 200:
+        if srv.status >= 300:
             self.send_error(srv.status)
             return
+        if srv.fault == "no status line":
+            return  # the connection closes with nothing sent
         body = json.dumps(srv.answers.get(normalize_name(query), [])).encode()
-        self.send_response(200)
+        self.send_response(srv.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if srv.fault == "short body":
+            body = body[:len(body) // 2]
+        for start in range(0, len(body), srv.segment):
+            self.wfile.write(body[start:start + srv.segment])
 
     def log_message(self, *args):
         pass
@@ -58,11 +67,17 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, answers, delay, status):
+    def __init__(self, answers, delay, status, fault, segment, tls):
         super().__init__(("127.0.0.1", 0), _Handler)
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True,
+                                          do_handshake_on_connect=False)
+        self.scheme = "http" if tls is None else "https"
         self.answers = {normalize_name(k): v for k, v in answers.items()}
         self.delay = delay
         self.status = status
+        self.fault = fault  # None, "no status line" or "short body"
+        self.segment = segment  # the body is written this many bytes at a time
         self.lock = threading.Lock()
         self.queries: list[str] = []
         self.user_agents: list[str] = []
@@ -71,18 +86,19 @@ class _Server(ThreadingHTTPServer):
 
     @property
     def endpoint(self) -> str:
-        return f"http://127.0.0.1:{self.server_port}/search"
+        return f"{self.scheme}://127.0.0.1:{self.server_port}/search"
 
 
 @pytest.fixture
 def serve(monkeypatch):
-    """serve(answers, delay=0.0, status=200) -> a running _Server."""
+    """serve(answers, delay=0.0, status=200, fault=None, segment=1 << 20,
+    tls=None) -> a running _Server; ``tls`` is a server-side SSLContext."""
     for var in PROXY_VARS:
         monkeypatch.delenv(var, raising=False)
     running = []
 
-    def start(answers, delay=0.0, status=200):
-        srv = _Server(answers, delay, status)
+    def start(answers, delay=0.0, status=200, fault=None, segment=1 << 20, tls=None):
+        srv = _Server(answers, delay, status, fault, segment, tls)
         thread = threading.Thread(target=srv.serve_forever,
                                   kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
@@ -135,6 +151,153 @@ def test_http_error_is_retried_then_skipped(serve, registry):
         remote_geocode("Anywhere", client, retries=2, backoff=0.0,
                        registry=registry)
     assert srv.queries == ["Anywhere"] * 3
+
+
+def test_any_2xx_is_an_answer_and_redirects_are_not_followed(serve, registry):
+    srv = serve({"Cochabamba": [_answer("Cochabamba, Bolivia", "bo")]}, status=203)
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    assert remote_geocode("Cochabamba", client, registry=registry).iso3 == "BOL"
+
+    srv = serve({}, status=302)
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    with pytest.raises(HTTPError) as raised:
+        remote_geocode("Cochabamba", client, retries=2, backoff=0.0,
+                       registry=registry)
+    assert raised.value.code == 302
+    assert srv.queries == ["Cochabamba"] * 3
+
+
+@pytest.mark.parametrize("env, refused", [
+    ({"HTTPS_PROXY": "http://proxy:3128"}, "HTTPS_PROXY"),
+    ({"https_proxy": "http://proxy:3128", "HTTPS_PROXY": ""}, "https_proxy"),
+    ({"https_proxy": "", "HTTPS_PROXY": "http://proxy:3128"}, None),
+    ({"HTTP_PROXY": "http://proxy:3128"}, None),  # another scheme's proxy
+    ({"HTTPS_PROXY": "http://proxy:3128", "NO_PROXY": "*"}, None),
+    ({"HTTPS_PROXY": "http://proxy:3128", "NO_PROXY": "localhost, .example.org"}, None),
+    ({"HTTPS_PROXY": "http://proxy:3128", "NO_PROXY": "geo.example.org:8443"}, None),
+    ({"HTTPS_PROXY": "http://proxy:3128", "NO_PROXY": "geo.example.org:443"},
+     "HTTPS_PROXY"),
+    ({"HTTPS_PROXY": "http://proxy:3128", "no_proxy": "",
+      "NO_PROXY": "geo.example.org"}, "HTTPS_PROXY"),
+])
+def test_a_proxied_endpoint_is_refused(monkeypatch, env, refused):
+    for var in PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    endpoint = "https://geo.example.org:8443/search"
+    if refused is None:
+        assert LiveGeocoderClient(endpoint).endpoint == endpoint
+    else:
+        with pytest.raises(ValueError, match=f"{refused} is set"):
+            LiveGeocoderClient(endpoint)
+
+
+def test_a_proxied_live_run_is_a_config_error(monkeypatch, tmp_path, capsys):
+    for var in PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", "http://127.0.0.1:9/search")
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy:3128")
+    assert main(["extract", "--config", str(E2E / "config.ini"), "--out",
+                 str(tmp_path / "out"), "--geocoder", "live"]) == 2
+    assert "HTTP_PROXY is set" in capsys.readouterr().err
+
+
+def test_long_answer_in_many_segments_is_read_whole(serve, registry):
+    answers = [_answer(f"Place {i}, " + "x" * 100, "bo", i / 2000) for i in range(2000)]
+    srv = serve({"Place": answers}, segment=1000)
+    assert len(json.dumps(answers)) > 256 * 1024
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    results = client.geocode("Place")
+    assert [r.display_name for r in results] == [a["display_name"] for a in answers]
+    assert {r.iso3 for r in results} == {"BOL"}
+
+
+@pytest.mark.parametrize("fault", ["short body", "no status line"])
+def test_cut_answer_is_retried_counted_and_not_cached(serve, registry, kb,
+                                                      tmp_path, fault):
+    srv = serve({"Coon Valley": [_answer("Coon Valley, WI", "us")]}, fault=fault)
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    with pytest.raises(ConnectionError):
+        remote_geocode("Coon Valley", client, retries=2, backoff=0.0,
+                       registry=registry)
+    assert srv.queries == ["Coon Valley"] * 3
+
+    srv.queries.clear()
+    cache_path = tmp_path / "geocache.jsonl"
+    resolver = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path))
+    assert resolver.resolve("Coon Valley").resolver_stage is ResolverStage.UNRESOLVED
+    assert srv.queries == ["Coon Valley"] * 3
+    assert resolver.failures == 1
+    assert not cache_path.exists()
+
+
+def test_http_lookup_imports_no_http_stack(serve):
+    """The memory an http run saves: no urllib.request, http.client, email
+    or ssl is loaded, and the transport itself only by a live client."""
+    srv = serve({"Coon Valley": [_answer("Coon Valley, WI", "us")]})
+    script = f"""
+import sys
+import coverage_auditor.pipeline
+from coverage_auditor.geocode import LiveGeocoderClient, remote_geocode
+assert "coverage_auditor.httpget" not in sys.modules
+client = LiveGeocoderClient({srv.endpoint!r}, min_delay_ms=0)
+assert remote_geocode("Coon Valley", client).iso3 == "USA"
+print(sorted(m for m in sys.modules if m in ("urllib.request", "http.client", "ssl")
+             or m.split(".")[0] == "email"))
+"""
+    src = str(Path(coverage_auditor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert srv.queries == ["Coon Valley"]
+
+
+@pytest.fixture
+def self_signed(tmp_path):
+    """A throwaway certificate and key for IP:127.0.0.1, made by openssl."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not on PATH")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "ec",
+                    "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+                    "-keyout", str(key), "-out", str(cert), "-days", "1",
+                    "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+                   check=True, capture_output=True, timeout=60)
+    return cert, key
+
+
+def test_https_certificate_is_verified(serve, registry, kb, tmp_path,
+                                       monkeypatch, self_signed):
+    cert, key = self_signed
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    srv = serve({"Coon Valley": [_answer("Coon Valley, WI", "us")]}, tls=tls)
+    assert srv.endpoint.startswith("https://")
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    cache_path = tmp_path / "geocache.jsonl"
+
+    # Untrusted: the handshake fails, the lookup is counted and not cached.
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    untrusted = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path))
+    assert untrusted.resolve("Coon Valley").resolver_stage is ResolverStage.UNRESOLVED
+    assert untrusted.failures == 1
+    assert not cache_path.exists()
+    assert srv.queries == []
+
+    # A client loads the trust store at its first https request.
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, registry=registry)
+    trusted = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path))
+    mention = trusted.resolve("Coon Valley")
+    assert mention.resolved.iso3 == "USA"
+    assert mention.resolver_stage is ResolverStage.REMOTE_GEOCODER
+    assert trusted.failures == 0
+    assert srv.queries == ["Coon Valley"]
 
 
 def test_prefetch_keeps_max_inflight(serve, registry, kb):
