@@ -6,17 +6,16 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .corpus import CandidateSentence
+from .countries import Continent
 from .ground_truth import ConsolidatedEvent
-
-AXES = ["continent", "gdp", "gni", "vuln", "english", "population",
-        "fatalities", "month", "country"]
 
 UNKNOWN_BUCKET = "unknown"
 
@@ -30,7 +29,6 @@ class CountryIndicators:
     lack_of_coping: float | None  # 0-10
     english_speaker_pct: float | None  # 0-100
     population: int | None
-    continent: str | None = None
 
 
 @dataclass
@@ -70,7 +68,6 @@ def load_indicators(path: Path) -> dict[str, CountryIndicators]:
                 lack_of_coping=_float(row["lack_of_coping"]),
                 english_speaker_pct=_float(row["english_pct"]),
                 population=_int(row["population"]),
-                continent=row.get("continent", "").strip() or None,
             )
             indicators[ind.iso3] = ind
     return indicators
@@ -87,160 +84,81 @@ def compute_hit_rate_pct(ground_truth: int, matched: int) -> float | None:
     return round_half_up(100.0 * matched / ground_truth)
 
 
-# --- bucket functions --------------------------------------------------------
-
-GDP_BOUNDS = [812.0, 2218.0, 5484.0, 9200.0, 44714.0]
-GDP_LABELS = ["Low income", "Lower middle income", "Middle income",
-              "Upper middle income", "High income", "Very high income"]
-
-
-def gdp_bucket(gdp: float | None) -> str:
-    """Six income buckets; lower bound inclusive, upper exclusive."""
-    if gdp is None:
-        return UNKNOWN_BUCKET
-    if gdp < 0:
-        raise ValueError(f"negative GDP per capita: {gdp}")
-    for bound, label in zip(GDP_BOUNDS, GDP_LABELS):
-        if gdp < bound:
-            return label
-    return GDP_LABELS[-1]
-
-
-VULN_LABELS = ["0-2", "2-4", "4-6", "6-8", "8-10"]
-
-
-def combined_vulnerability(v: float, l: float) -> float:
-    """Geometric combination sqrt(v*l) of the two 0-10 indicators."""
-    if not (0 <= v <= 10 and 0 <= l <= 10):
-        raise ValueError(f"indicators out of range: v={v}, l={l}")
-    return math.sqrt(v * l)
-
-
-def vulnerability_bucket(combined: float) -> str:
-    """[0,2), [2,4), [4,6), [6,8), [8,10] - top bucket closed."""
-    if not 0 <= combined <= 10:
-        raise ValueError(f"combined indicator out of range: {combined}")
-    idx = min(int(combined // 2), 4)
-    return VULN_LABELS[idx]
-
-
-POPULATION_BOUNDS = [754_394, 6_465_513, 24_992_369]
-POPULATION_LABELS = ["G1", "G2", "G3", "G4"]
-
-
-def population_group(pop: int | None) -> str:
-    """Population quartile groups; lower bound inclusive."""
-    if pop is None:
-        return UNKNOWN_BUCKET
-    if pop < 0:
-        raise ValueError(f"negative population: {pop}")
-    for bound, label in zip(POPULATION_BOUNDS, POPULATION_LABELS):
-        if pop < bound:
-            return label
-    return POPULATION_LABELS[-1]
-
-
-FATALITY_LABELS = ["0", "1-9", "10-99", "100-1999", "2000+"]
-
-
-def fatalities_bucket(n: int | None, unknown: str = "zero") -> str | None:
-    """Fatality brackets; absent values pool into "0" unless excluded.
-
-    Counts of 2000 and above land in a separate "2000+" bucket reported
-    apart from the four main brackets.
-    """
-    if n is None:
-        if unknown == "zero":
-            n = 0
-        elif unknown == "exclude":
-            return None
-        else:
-            raise ValueError(f"unknown-fatalities policy {unknown!r}")
-    if n < 0:
-        raise ValueError(f"negative fatalities: {n}")
-    if n == 0:
-        return "0"
-    if n <= 9:
-        return "1-9"
-    if n <= 99:
-        return "10-99"
-    if n <= 1999:
-        return "100-1999"
-    return "2000+"
-
-
-ENGLISH_LABELS = ["<20", "20-40", "40-60", "60-80", "80+"]
-
-
-def english_bucket(pct: float | None) -> str:
-    """English-speaker share buckets; lower bound inclusive from 20 up."""
-    if pct is None:
-        return UNKNOWN_BUCKET
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentage out of range: {pct}")
-    if pct < 20:
-        return "<20"
-    if pct < 40:
-        return "20-40"
-    if pct < 60:
-        return "40-60"
-    if pct < 80:
-        return "60-80"
-    return "80+"
-
-
 # --- stratification ----------------------------------------------------------
 
-def _bucket_for(event: ConsolidatedEvent, axis: str,
-                indicators: dict[str, CountryIndicators],
-                fatalities_unknown: str) -> str | None:
-    iso3 = event.country.iso3
-    ind = indicators.get(iso3)
-    if axis == "continent":
-        return event.country.continent.value
-    if axis == "country":
-        return iso3
-    if axis == "month":
-        return f"{event.start_date.year:04d}-{event.start_date.month:02d}"
-    if axis == "fatalities":
-        return fatalities_bucket(event.fatalities, unknown=fatalities_unknown)
-    if ind is None:
-        return UNKNOWN_BUCKET
-    if axis == "gdp":
-        return gdp_bucket(ind.gdp_per_capita_usd)
-    if axis == "gni":
-        return ind.gni_group or UNKNOWN_BUCKET
-    if axis == "vuln":
-        if ind.vulnerability is None or ind.lack_of_coping is None:
-            return UNKNOWN_BUCKET
-        return vulnerability_bucket(
-            combined_vulnerability(ind.vulnerability, ind.lack_of_coping))
-    if axis == "english":
-        return english_bucket(ind.english_speaker_pct)
-    if axis == "population":
-        return population_group(ind.population)
-    raise ValueError(f"unknown axis {axis!r}")
+class Axis(NamedTuple):
+    """Where an axis takes an event's value from, and how it buckets it.
+
+    ``source`` is a function of the event, or the ``CountryIndicators``
+    fields the value is made of (``combine`` joins several); an event whose
+    country has no indicators row, or no value in one of those fields,
+    lands in ``unknown``. With ``bounds``, value v lands in
+    ``labels[bisect_right(bounds, v)]``, so each band holds its lower bound,
+    and an input outside ``valid`` (each field, for several) raises
+    ValueError. Without bounds the value is the label. ``labels`` is the
+    report order; an axis without labels reports in label order.
+    """
+    source: Callable[[ConsolidatedEvent], Any] | tuple[str, ...]
+    bounds: tuple[float, ...] = ()
+    labels: tuple[str, ...] = ()
+    valid: tuple[float, float] = (0, math.inf)
+    combine: Callable[..., float] | None = None
 
 
-def _bucket_order(axis: str, labels: Iterable[str]) -> list[str]:
-    fixed = {
-        "continent": ["Asia", "NorthAmerica", "Africa", "Europe",
-                      "SouthAmerica", "Oceania"],
-        "gdp": GDP_LABELS,
-        "vuln": VULN_LABELS,
-        "english": ENGLISH_LABELS,
-        "population": POPULATION_LABELS,
-        "fatalities": FATALITY_LABELS,
-    }
-    present = set(labels)
-    if axis in fixed:
-        ordered = [lab for lab in fixed[axis] if lab in present]
-        ordered += sorted(present - set(fixed[axis]) - {UNKNOWN_BUCKET})
+def _country(event: ConsolidatedEvent) -> str:
+    return event.country.iso3
+
+
+AXIS_TABLE = {
+    "continent": Axis(lambda e: e.country.continent.value,
+                      labels=tuple(c.value for c in Continent)),
+    "gdp": Axis(("gdp_per_capita_usd",), (812, 2218, 5484, 9200, 44714),
+                ("Low income", "Lower middle income", "Middle income",
+                 "Upper middle income", "High income", "Very high income")),
+    "gni": Axis(("gni_group",)),
+    # The geometric combination sqrt(v*l) of two 0-10 indicators; the top
+    # band is closed at 10.
+    "vuln": Axis(("vulnerability", "lack_of_coping"), (2, 4, 6, 8),
+                 ("0-2", "2-4", "4-6", "6-8", "8-10"), (0, 10),
+                 lambda v, l: math.sqrt(v * l)),
+    "english": Axis(("english_speaker_pct",), (20, 40, 60, 80),
+                    ("<20", "20-40", "40-60", "60-80", "80+"), (0, 100)),
+    "population": Axis(("population",), (754_394, 6_465_513, 24_992_369),
+                       ("G1", "G2", "G3", "G4")),
+    # Unknown counts pool into "0" or are excluded (``fatalities_unknown``).
+    "fatalities": Axis(lambda e: e.fatalities, (1, 10, 100, 2000),
+                       ("0", "1-9", "10-99", "100-1999", "2000+")),
+    "month": Axis(lambda e: f"{e.start_date.year:04d}-{e.start_date.month:02d}"),
+    "country": Axis(_country),
+}
+
+AXES = list(AXIS_TABLE)
+
+
+def _bucket(axis: str, key, indicators: dict[str, CountryIndicators],
+            fatalities_unknown: str) -> str | None:
+    """The bucket of ``key``: an event's value, or on an axis read from the
+    indicators, the event's country. None: excluded by policy."""
+    spec = AXIS_TABLE[axis]
+    if callable(spec.source):
+        value = key
+        if value is None:  # fatalities the sources did not report
+            if fatalities_unknown == "exclude":
+                return None
+            value = 0
+        inputs = (value,)
     else:
-        ordered = sorted(present - {UNKNOWN_BUCKET})
-    if UNKNOWN_BUCKET in present:
-        ordered.append(UNKNOWN_BUCKET)
-    return ordered
+        row = indicators.get(key)
+        inputs = (None,) if row is None else tuple(getattr(row, f) for f in spec.source)
+        if None in inputs:
+            return UNKNOWN_BUCKET
+        value = spec.combine(*inputs) if spec.combine else inputs[0]
+    if not spec.bounds:
+        return value
+    lo, hi = spec.valid
+    if not all(lo <= x <= hi for x in inputs):
+        raise ValueError(f"{axis} input out of range [{lo}, {hi}]: {inputs}")
+    return spec.labels[bisect_right(spec.bounds, value)]
 
 
 def stratify(events: list[ConsolidatedEvent], matched_ids: set[str],
@@ -251,25 +169,38 @@ def stratify(events: list[ConsolidatedEvent], matched_ids: set[str],
 
     An event counts as matched when its id is in ``matched_ids``. The
     "unknown" bucket collects events whose indicator is missing; it is
-    reported but excluded from the axis' main totals. On the country axis,
-    countries with fewer than ``min_country_events`` events are dropped,
-    and rows come out ordered by descending event count.
+    reported last but excluded from the axis' main totals. On the country
+    axis, countries with fewer than ``min_country_events`` events are
+    dropped, and rows come out ordered by descending event count.
     """
+    if axis not in AXIS_TABLE:
+        raise ValueError(f"unknown axis {axis!r}")
+    if fatalities_unknown not in ("zero", "exclude"):
+        raise ValueError(f"unknown-fatalities policy {fatalities_unknown!r}")
+    source = AXIS_TABLE[axis].source
+    key_of = source if callable(source) else _country
+    buckets: dict = {}  # key -> bucket, so each distinct key is bucketed once
     gt_counts: dict[str, int] = {}
     hit_counts: dict[str, int] = {}
     for event in events:
-        bucket = _bucket_for(event, axis, indicators, fatalities_unknown)
+        key = key_of(event)
+        if key not in buckets:
+            buckets[key] = _bucket(axis, key, indicators, fatalities_unknown)
+        bucket = buckets[key]
         if bucket is None:
             continue  # excluded by policy
         gt_counts[bucket] = gt_counts.get(bucket, 0) + 1
         if event.event_id in matched_ids:
             hit_counts[bucket] = hit_counts.get(bucket, 0) + 1
 
-    order = _bucket_order(axis, gt_counts)
     if axis == "country":
-        order = [b for b in order if gt_counts[b] >= min_country_events
-                 or b == UNKNOWN_BUCKET]
-        order.sort(key=lambda b: (-gt_counts[b], b))
+        order = sorted((b for b, n in gt_counts.items() if n >= min_country_events),
+                       key=lambda b: (-gt_counts[b], b))
+    else:
+        labels = AXIS_TABLE[axis].labels or sorted(gt_counts.keys() - {UNKNOWN_BUCKET})
+        order = [b for b in labels if b in gt_counts]
+        if UNKNOWN_BUCKET in gt_counts:
+            order.append(UNKNOWN_BUCKET)
 
     reports = []
     for bucket in order:

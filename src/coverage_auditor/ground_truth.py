@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from operator import attrgetter
@@ -70,8 +70,6 @@ class ConsolidatedEvent:
     in_emdat: bool
     in_dartmouth: bool
     in_floodlist: bool
-    # All member fatality values, for provenance (not part of the wire format).
-    member_fatalities: list[tuple[str, str, int]] = field(default_factory=list)
 
     @property
     def source_count(self) -> int:
@@ -377,7 +375,6 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
     start = members[0].start_date
     end = members[0].end_date
     native_ids: list[tuple[str, str]] = []
-    member_fatalities: list[tuple[str, str, int]] = []
     fatalities = None
     affected = None
     locations_by_source: dict[str, list[str]] = {}
@@ -392,7 +389,6 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
         # Sorted by (source, id), so these pairs come out sorted.
         native_ids.append((source, rec.native_id))
         if rec.fatalities is not None:
-            member_fatalities.append((source, rec.native_id, rec.fatalities))
             # Sources report the same death toll with different completeness;
             # the max avoids double counting while keeping the most complete.
             if fatalities is None or rec.fatalities > fatalities:
@@ -420,7 +416,6 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
         in_emdat=Source.EMDAT in sources,
         in_dartmouth=Source.DFO in sources,
         in_floodlist=Source.FLOODLIST in sources,
-        member_fatalities=member_fatalities,
     )
 
 

@@ -90,9 +90,6 @@ class EventIndex:
                 [e.start_date.toordinal() for e in group],
                 list(accumulate((e.end_date.toordinal() for e in group), max)))
 
-    def for_country(self, iso3: str) -> list[ConsolidatedEvent]:
-        return list(self._by_country.get(iso3, _NO_EVENTS)[0])
-
     def reaching(self, iso3: str, lo: int, hi: int) -> list[ConsolidatedEvent]:
         """The country's events in index order, from the first whose end, or
         an earlier event's, is on or after ordinal ``lo``, to the last that

@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .analysis import AXES, extract_reference_domains, load_indicators, stratify
-from .corpus import (CandidateSentence, builtin_scorer, constant_scorer,
-                     extract_candidates, filter_by_relevance, ingest_articles)
+from .corpus import (ArticleReject, CandidateSentence, builtin_scorer,
+                     constant_scorer, extract_candidates, filter_by_relevance,
+                     ingest_articles)
 from .countries import CountryRegistry
 from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
@@ -398,12 +399,19 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> 
     scorer = cfg.make_scorer()
     article_rejects = []
     candidates: list[CandidateSentence] = []
-    n_articles = 0
+    occurrences: dict[str, int] = {}  # article_id -> articles that carry it
     opener = _open_maybe_compressed
     with opener(cfg.corpus) as fh:
         for article in ingest_articles(fh, cfg.corpus_format, article_rejects):
-            n_articles += 1
+            occurrences[article.article_id] = occurrences.get(article.article_id, 0) + 1
             candidates.extend(extract_candidates(article, cfg.keyword_substring))
+    # Later stages join on (article_id, sentence_index), so a shared id would
+    # merge two articles in an order the corpus decides: every copy is rejected.
+    shared = {aid: n for aid, n in occurrences.items() if n > 1}
+    if shared:
+        candidates = [c for c in candidates if c.article_id not in shared]
+        article_rejects += [ArticleReject(aid, "duplicate article_id")
+                            for aid, n in shared.items() for _ in range(n)]
     extracted = len(candidates)
     retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold)
     retained.sort(key=lambda c: (c.article_id, c.paragraph_index, c.sentence_index))
@@ -411,7 +419,7 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> 
     if held is not None:
         held["candidates"] = retained
     return {
-        "articles": n_articles,
+        "articles": len(occurrences) - len(shared),
         "article_rejects": len(article_rejects),
         "candidates_extracted": extracted,
         "candidates_scored": len(retained),
@@ -606,7 +614,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
     for name in ["floodlist", "emdat", "dfo", "corpus", "indicators"]:
         path = settings[name]
         if path is not None and path.exists():
-            manifest["input_digests"][str(path)] = file_digest(path)
+            manifest["input_digests"][name] = file_digest(path)
 
     failure: StageError | None = None
     held: dict = {}  # stage results and the registry, handed downstream

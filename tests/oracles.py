@@ -10,7 +10,8 @@ Deliberately naive, but obviously correct, which is the point:
 - candidate extraction segments and keyword-tests every sentence of every
   article, with no article-level gate;
 - date finding tries the full date pattern at every position of the text;
-- matching tests a candidate against every event of its country.
+- matching tests a candidate against every event of its country, found by
+  scanning the plain event list rather than the index under test.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from coverage_auditor.countries import CountryCode, normalize_name
 from coverage_auditor.dates import (_DATE_RE, _MODIFIER_DAY, DateMention,
                                     YearSource, _day_num, _month_num,
                                     _valid_year, distinct_years)
-from coverage_auditor.ground_truth import (_SCHEMAS, ParseResult, RejectedRow,
-                                           Source, SourceRecord, _parse_count,
+from coverage_auditor.ground_truth import (_SCHEMAS, ConsolidatedEvent,
+                                           ParseResult, RejectedRow, Source,
+                                           SourceRecord, _parse_count,
                                            _parse_date, _require)
-from coverage_auditor.matching import (DEFAULT_WINDOW_DAYS, EventIndex,
-                                       MatchResult, Strategy,
-                                       _candidate_interval, _month_interval)
+from coverage_auditor.matching import (DEFAULT_WINDOW_DAYS, MatchResult,
+                                       Strategy, _candidate_interval,
+                                       _month_interval)
 from coverage_auditor.places import ResolvedCandidate
 
 
@@ -290,14 +292,21 @@ def oracle_find_dates(text: str) -> list[DateMention]:
     return mentions
 
 
-def oracle_match_ymd(candidate: ResolvedCandidate, events: EventIndex,
+def _country_events(events: list[ConsolidatedEvent],
+                    iso3: str) -> list[ConsolidatedEvent]:
+    """The country's events, in the order matching reports them: (start, id)."""
+    return sorted((e for e in events if e.country.iso3 == iso3),
+                  key=lambda e: (e.start_date, e.event_id))
+
+
+def oracle_match_ymd(candidate: ResolvedCandidate, events: list[ConsolidatedEvent],
                      window_days: int = DEFAULT_WINDOW_DAYS) -> list[MatchResult]:
     """Every event of the candidate's country against [start, end + window]."""
     if not candidate.date.is_matchable:
         return []
     lo, hi = _candidate_interval(candidate.date)
     matches = []
-    for event in events.for_country(candidate.country.iso3):
+    for event in _country_events(events, candidate.country.iso3):
         window_end = event.end_date + timedelta(days=window_days)
         if lo <= window_end and hi >= event.start_date:
             matches.append(MatchResult(event.event_id, candidate, Strategy.YMD,
@@ -305,13 +314,14 @@ def oracle_match_ymd(candidate: ResolvedCandidate, events: EventIndex,
     return matches
 
 
-def oracle_match_ym(candidate: ResolvedCandidate, events: EventIndex) -> list[MatchResult]:
+def oracle_match_ym(candidate: ResolvedCandidate,
+                    events: list[ConsolidatedEvent]) -> list[MatchResult]:
     """Every event of the candidate's country against the candidate's month."""
     if not candidate.date.is_matchable:
         return []
     month_lo, month_hi = _month_interval(candidate.date.year, candidate.date.month)
     matches = []
-    for event in events.for_country(candidate.country.iso3):
+    for event in _country_events(events, candidate.country.iso3):
         if month_lo <= event.end_date and month_hi >= event.start_date:
             matches.append(MatchResult(event.event_id, candidate, Strategy.YM,
                                        candidate.date, candidate.country))

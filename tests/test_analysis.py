@@ -1,18 +1,18 @@
 from datetime import date
+from pathlib import Path
 
 import pytest
 
-from coverage_auditor.analysis import (combined_vulnerability,
+from coverage_auditor.analysis import (AXES, AXIS_TABLE, CountryIndicators,
                                        compute_hit_rate_pct,
-                                       english_bucket,
                                        extract_reference_domains,
-                                       fatalities_bucket, gdp_bucket,
-                                       load_indicators, population_group,
-                                       registrable_domain, round_half_up,
-                                       stratify, vulnerability_bucket)
+                                       load_indicators, registrable_domain,
+                                       round_half_up, stratify)
 from coverage_auditor.corpus import CandidateSentence
 from conftest import FIXTURES
 from test_matching import make_event
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_round_half_up_exact_halves():
@@ -26,7 +26,43 @@ def test_compute_hit_rate_pct():
     assert compute_hit_rate_pct(0, 0) is None
 
 
-# --- bucket boundaries ----------------------------------------------------------
+# --- bucket boundaries, through the axis table ----------------------------------
+
+NO_INDICATORS = dict.fromkeys(["gdp_per_capita_usd", "gni_group", "vulnerability",
+                               "lack_of_coping", "english_speaker_pct", "population"])
+
+
+def only_bucket(registry, axis, fatalities=None, fatalities_unknown="zero",
+                **fields):
+    """The bucket ``stratify`` puts one IND event in, given its fatalities
+    and IND's indicator fields (the rest missing); None when it is excluded."""
+    event = make_event(registry, "IND", date(2018, 8, 8), date(2018, 8, 25),
+                       fatalities=fatalities)
+    indicators = {"IND": CountryIndicators("IND", **{**NO_INDICATORS, **fields})}
+    rows = stratify([event], set(), indicators, axis,
+                    fatalities_unknown=fatalities_unknown)
+    return rows[0].bucket_label if rows else None
+
+
+def test_banded_axes_have_one_label_per_band():
+    for axis, spec in AXIS_TABLE.items():
+        if spec.bounds:
+            assert len(spec.labels) == len(spec.bounds) + 1, axis
+            assert list(spec.bounds) == sorted(set(spec.bounds)), axis
+            assert spec.valid[0] < spec.bounds[0] and spec.bounds[-1] < spec.valid[1]
+
+
+def test_readme_lists_every_axis_and_its_buckets():
+    rows = [line for line in README.read_text().splitlines() if line.startswith("| `")]
+    for axis, spec in AXIS_TABLE.items():
+        (row,) = [r for r in rows if r.startswith(f"| `{axis}` |")]
+        assert all(f"`{label}`" in row for label in spec.labels), axis
+
+
+def test_axes_keep_their_order():
+    assert AXES == ["continent", "gdp", "gni", "vuln", "english", "population",
+                    "fatalities", "month", "country"]
+
 
 @pytest.mark.parametrize("gdp,label", [
     (811.99, "Low income"),
@@ -38,8 +74,8 @@ def test_compute_hit_rate_pct():
     (44714, "Very high income"),
     (None, "unknown"),
 ])
-def test_gdp_buckets(gdp, label):
-    assert gdp_bucket(gdp) == label
+def test_gdp_buckets(registry, gdp, label):
+    assert only_bucket(registry, "gdp", gdp_per_capita_usd=gdp) == label
 
 
 @pytest.mark.parametrize("v,l,label", [
@@ -48,13 +84,32 @@ def test_gdp_buckets(gdp, label):
     (4.0, 9.0, "6-8"),    # sqrt(36) = 6.0, lower bound inclusive
     (10.0, 10.0, "8-10"),  # top bucket closed at 10
 ])
-def test_vulnerability_buckets(v, l, label):
-    assert vulnerability_bucket(combined_vulnerability(v, l)) == label
+def test_vulnerability_buckets(registry, v, l, label):
+    assert only_bucket(registry, "vuln", vulnerability=v, lack_of_coping=l) == label
 
 
-def test_vulnerability_validates_range():
+def test_vulnerability_validates_range(registry):
     with pytest.raises(ValueError):
-        combined_vulnerability(11.0, 1.0)
+        only_bucket(registry, "vuln", vulnerability=11.0, lack_of_coping=1.0)
+    assert only_bucket(registry, "vuln", vulnerability=5.0) == "unknown"
+
+
+@pytest.mark.parametrize("axis,fields", [
+    ("gdp", {"gdp_per_capita_usd": -1.0}),
+    ("english", {"english_speaker_pct": 100.5}),
+    ("english", {"english_speaker_pct": -0.5}),
+    ("population", {"population": -1}),
+    ("fatalities", {"fatalities": -1}),
+])
+def test_out_of_range_inputs_raise(registry, axis, fields):
+    with pytest.raises(ValueError):
+        only_bucket(registry, axis, **fields)
+
+
+def test_unknown_axis_raises(registry, indicators):
+    event = make_event(registry, "IND", date(2018, 8, 8), date(2018, 8, 25))
+    with pytest.raises(ValueError):
+        stratify([event], set(), indicators, "religion")
 
 
 @pytest.mark.parametrize("pop,label", [
@@ -66,40 +121,41 @@ def test_vulnerability_validates_range():
     (24_992_369, "G4"),
     (None, "unknown"),
 ])
-def test_population_groups(pop, label):
-    assert population_group(pop) == label
+def test_population_groups(registry, pop, label):
+    assert only_bucket(registry, "population", population=pop) == label
 
 
 @pytest.mark.parametrize("pct,label", [
     (0, "<20"), (19.9, "<20"), (20, "20-40"), (40, "40-60"),
     (60, "60-80"), (79.9, "60-80"), (80, "80+"), (100, "80+"),
 ])
-def test_english_buckets(pct, label):
-    assert english_bucket(pct) == label
+def test_english_buckets(registry, pct, label):
+    assert only_bucket(registry, "english", english_speaker_pct=pct) == label
 
 
 @pytest.mark.parametrize("n,label", [
     (0, "0"), (1, "1-9"), (9, "1-9"), (10, "10-99"), (99, "10-99"),
     (100, "100-1999"), (1999, "100-1999"), (2000, "2000+"),
 ])
-def test_fatalities_buckets(n, label):
-    assert fatalities_bucket(n) == label
+def test_fatalities_buckets(registry, n, label):
+    assert only_bucket(registry, "fatalities", fatalities=n) == label
 
 
-def test_fatalities_unknown_policy():
-    assert fatalities_bucket(None, unknown="zero") == "0"
-    assert fatalities_bucket(None, unknown="exclude") is None
+def test_fatalities_unknown_policy(registry):
+    assert only_bucket(registry, "fatalities", fatalities_unknown="zero") == "0"
+    assert only_bucket(registry, "fatalities", fatalities_unknown="exclude") is None
     with pytest.raises(ValueError):
-        fatalities_bucket(None, unknown="guess")
+        only_bucket(registry, "fatalities", fatalities_unknown="guess")
 
 
-def test_bucket_functions_partition_their_domains():
+def test_bucket_functions_partition_their_domains(registry):
     for gdp in [0, 500, 812, 3000, 9199, 9200, 44714, 1e6]:
-        assert gdp_bucket(gdp) != "unknown"
+        assert only_bucket(registry, "gdp", gdp_per_capita_usd=gdp) != "unknown"
     for pct in range(0, 101):
-        assert english_bucket(pct) != "unknown"
+        assert only_bucket(registry, "english", english_speaker_pct=pct) != "unknown"
     for tenth in range(0, 101):
-        assert vulnerability_bucket(tenth / 10.0) in [
+        assert only_bucket(registry, "vuln", vulnerability=tenth / 10.0,
+                           lack_of_coping=tenth / 10.0) in [
             "0-2", "2-4", "4-6", "6-8", "8-10"]
 
 

@@ -224,8 +224,6 @@ def test_consolidate_fatalities_is_max_with_provenance(registry):
                     source=Source.DFO, native_id="c", fatalities=None)
     (event,) = consolidate([a, b, c])
     assert event.fatalities == 15
-    assert sorted(event.member_fatalities) == [("emdat", "b", 14),
-                                               ("floodlist", "a", 15)]
 
 
 def test_consolidate_source_flags_and_event_id(registry):

@@ -159,14 +159,15 @@ def match_cases(draw):
          window_days=0)
 def test_interval_search_matches_full_scan_oracle(registry, case, window_days):
     events, candidates = case
-    index = EventIndex(replace(make_event(registry, iso3, start, end), event_id=f"E{i:02d}")
-                       for i, (iso3, start, end) in enumerate(events))
+    events = [replace(make_event(registry, iso3, start, end), event_id=f"E{i:02d}")
+              for i, (iso3, start, end) in enumerate(events)]
+    index = EventIndex(events)
     for k, (iso3, year, month, day) in enumerate(candidates):
         cand = make_candidate(registry, iso3, year, month, day, sentence_index=k)
         assert ([m.to_json_dict() for m in match_ymd(cand, index, window_days)]
-                == [m.to_json_dict() for m in oracle_match_ymd(cand, index, window_days)])
+                == [m.to_json_dict() for m in oracle_match_ymd(cand, events, window_days)])
         assert ([m.to_json_dict() for m in match_ym(cand, index)]
-                == [m.to_json_dict() for m in oracle_match_ym(cand, index)])
+                == [m.to_json_dict() for m in oracle_match_ym(cand, events)])
 
 
 # --- YMD(window=0) is contained in YM, on random pairs --------------------------

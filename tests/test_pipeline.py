@@ -6,6 +6,8 @@ import shutil
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverage_auditor import pipeline
 from coverage_auditor.cli import main
@@ -16,6 +18,15 @@ from coverage_auditor.places import GazetteerSpotter
 from conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
+E2E_LINES = (E2E / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+# A second article under the id of the fixture's first, with other text; its
+# flood sentence has the same (paragraph, sentence) position as one of the
+# first's, so the two tie on every key later stages sort or join on.
+DUPLICATE = json.dumps({
+    "article_id": "hurricane-irma", "title": "Flooding in Havana",
+    "paragraphs": ["Irma crossed Cuba in early September 2017.",
+                   "On September 10, 2017, Hurricane Irma caused severe "
+                   "flooding in Havana, Cuba."]})
 
 
 @pytest.fixture(autouse=True)
@@ -256,3 +267,36 @@ def test_geocache_answers_only_for_the_geocoder_that_wrote_it(tmp_path):
     assert _resolved_row(warm, "Kyushu") == {("JPN", "REMOTE_GEOCODER")}
     assert (warm / "resolved.jsonl").read_bytes() == (cold / "resolved.jsonl").read_bytes()
     assert len(list(cache.glob("geocache-*.jsonl"))) == 2  # one per replay file
+
+
+def _run_on_corpus(lines, out):
+    """Run the e2e config on a corpus of these JSONL lines, written next to ``out``."""
+    cfg = PipelineConfig.from_ini(E2E / "config.ini")
+    cfg.corpus = out.with_name(out.name + ".jsonl")
+    cfg.corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return run_pipeline(cfg, out)
+
+
+def test_duplicated_article_id_rejects_every_copy(tmp_path):
+    before = _run_on_corpus([DUPLICATE] + E2E_LINES, tmp_path / "before")
+    after = _run_on_corpus(E2E_LINES + [DUPLICATE], tmp_path / "after")
+    assert _outputs(tmp_path / "before") == _outputs(tmp_path / "after")
+    assert b'"hurricane-irma"' not in (tmp_path / "after" / "candidates.jsonl").read_bytes()
+    for manifest in before, after:
+        scan = manifest["stages"][1]["counts"]
+        assert (scan["articles"], scan["article_rejects"]) == (len(E2E_LINES) - 1, 2)
+
+
+@pytest.fixture(scope="module")
+def unshuffled(tmp_path_factory):
+    out = tmp_path_factory.mktemp("unshuffled") / "run"
+    _run_on_corpus(E2E_LINES + [DUPLICATE], out)
+    return _outputs(out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lines=st.permutations(E2E_LINES + [DUPLICATE]))
+def test_shuffled_corpus_changes_no_artifact(unshuffled, tmp_path_factory, lines):
+    out = tmp_path_factory.mktemp("shuffled") / "run"
+    _run_on_corpus(lines, out)
+    assert _outputs(out) == unshuffled

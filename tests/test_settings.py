@@ -195,6 +195,18 @@ def test_config_hash_ignores_how_paths_are_spelled(tmp_path, monkeypatch):
     assert len(hashes) == 1
 
 
+def test_input_digests_do_not_depend_on_where_the_inputs_lie(tmp_path):
+    digests = []
+    for name in ("in", "a-longer-directory"):
+        shutil.copytree(E2E, tmp_path / name)
+        out = tmp_path / f"{name}-run"
+        assert main(["consolidate", "--config", str(tmp_path / name / "config.ini"),
+                     "--out", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["input_digests"])
+    assert digests[0] == digests[1]
+    assert sorted(digests[0]) == ["corpus", "dfo", "emdat", "floodlist", "indicators"]
+
+
 def test_readme_lists_every_setting():
     rows = [line for line in README.read_text().splitlines() if line.startswith("|")]
     for s in SETTINGS:
