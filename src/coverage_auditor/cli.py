@@ -71,6 +71,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         print(f"no manifest in {out_dir}", file=sys.stderr)
         return EXIT_CONFIG
+    labels = _read_labels(args.labels) if args.labels is not None else {}
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     print(f"coverage-auditor {manifest.get('tool_version', '?')} run report")
     for stage in manifest["stages"]:
@@ -80,7 +81,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     matches_path = out_dir / ARTIFACTS["match"]
     events_path = out_dir / ARTIFACTS["consolidate"]
     if matches_path.exists() and events_path.exists():
-        labels = _read_labels(args.labels) if args.labels is not None else {}
         report = evaluate(read_jsonl(matches_path), labels,
                           len(read_jsonl(events_path)))
         hit, total = report.hits, report.ground_truth_total
@@ -98,11 +98,25 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _read_labels(path: Path) -> dict[tuple[str, int], bool]:
+    """Raises ConfigError if the file cannot be opened, InputError if it
+    lacks a column or a ``sentence_index`` is not an integer."""
     labels: dict[tuple[str, int], bool] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["article_id"].strip(), int(row["sentence_index"]))
-            labels[key] = row["relevant"].strip() == "1"
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read labels {path}: {exc}") from exc
+    with fh:
+        reader = csv.DictReader(fh, restval="")
+        try:
+            missing = [c for c in ("article_id", "sentence_index", "relevant")
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise InputError(f"labels {path}: no {', '.join(missing)} column")
+            for row in reader:
+                key = (row["article_id"].strip(), int(row["sentence_index"]))
+                labels[key] = row["relevant"].strip() == "1"
+        except (ValueError, csv.Error) as exc:
+            raise InputError(f"labels {path} line {reader.line_num}: {exc}") from exc
     return labels
 
 

@@ -1,12 +1,14 @@
 """End-to-end pipeline: consolidate -> scan -> extract -> match -> analyze.
 
-Every stage persists its output as JSON Lines in the run directory, so a
-run can resume from intermediates: stages whose output file already exists
-are skipped. Within one process a stage also hands the objects it wrote
-from to the stages after it, so an artifact is decoded only when the stage
-that writes it did not run in this process. With the replay geocoder the
-whole pipeline is deterministic, and identical config + inputs produce
-byte-identical artifacts.
+``STAGE_TABLE`` gives each stage one row: the artifact it writes, what it
+reads (the country registry and upstream stages) and how a row of its
+artifact decodes back into the result it hands on. Every stage persists its
+output in the run directory, so a run can resume from intermediates: stages
+whose artifact already exists are skipped. Within one process the driver
+hands each stage's result to the stages after it, so an artifact is decoded
+only when the stage that writes it did not run in this process. With the
+replay geocoder the whole pipeline is deterministic, and identical config +
+inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .analysis import AXES, extract_reference_domains, load_indicators, stratify
@@ -40,31 +42,29 @@ from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
 
 CACHE_DIR_ENV = "COVAUD_CACHE_DIR"
 
-STAGES = ["consolidate", "scan", "extract", "match", "analyze"]
 
-ARTIFACTS = {
-    "consolidate": "events.jsonl",
-    "scan": "candidates.jsonl",
-    "extract": "resolved.jsonl",
-    "match": "matches.jsonl",
-    "analyze": "analysis.json",
-}
+class Stage(NamedTuple):
+    """A stage's artifact; what it reads, ``"registry"`` and upstream stage
+    names, loaded in this order; and ``decode(row, registry)``, which turns
+    an artifact row back into an item of the result the stage hands on
+    (None: the row itself)."""
+    artifact: str
+    reads: tuple[str, ...]
+    decode: Callable | None
 
-# Stage results handed downstream, by name, and the artifact each is
-# written to; and what each stage reads of these and of the country
-# registry, which the first stage of a run that needs it loads.
-_RESULT_ARTIFACTS = {
-    "events": ARTIFACTS["consolidate"],
-    "candidates": ARTIFACTS["scan"],
-    "resolved": ARTIFACTS["extract"],
-    "matches": ARTIFACTS["match"],
+
+# The stages in run order.
+STAGE_TABLE = {
+    "consolidate": Stage("events.jsonl", ("registry",), ConsolidatedEvent.from_json_dict),
+    "scan": Stage("candidates.jsonl", (),
+                  lambda row, registry: CandidateSentence.from_json_dict(row)),
+    "extract": Stage("resolved.jsonl", ("registry", "scan"),
+                     ResolvedCandidate.from_json_dict),
+    "match": Stage("matches.jsonl", ("registry", "consolidate", "extract"), None),
+    "analyze": Stage("analysis.json", ("registry", "consolidate", "match", "scan"), None),
 }
-_INPUTS = {
-    "consolidate": ("registry",),
-    "extract": ("registry", "candidates"),
-    "match": ("registry", "events", "resolved"),
-    "analyze": ("registry", "events", "matches", "candidates"),
-}
+STAGES = list(STAGE_TABLE)
+ARTIFACTS = {name: stage.artifact for name, stage in STAGE_TABLE.items()}
 
 
 class ConfigError(Exception):
@@ -150,7 +150,7 @@ class PipelineConfig:
                     if v not in s.choices:
                         raise ConfigError(f"{s.field} must be in {s.choices}, got {v!r}")
         files = []  # (name, path) of the files the stages read, where set
-        if set(stages) - {"scan"}:
+        if any("registry" in STAGE_TABLE[stage].reads for stage in stages):
             files += [("registry", self.registry_path), ("aliases", self.alias_path)]
         if "consolidate" in stages:
             if not any([self.floodlist, self.emdat, self.dfo]):
@@ -175,7 +175,9 @@ class PipelineConfig:
                 replay = self.geocoder[len("replay:"):]
                 if replay and not Path(replay).exists():
                     raise ConfigError(f"replay file not found: {replay}")
-            elif self.geocoder != "live":
+            elif self.geocoder == "live":
+                self.make_geocoder_client()  # refuses a proxied endpoint
+            else:
                 raise ConfigError(f"unknown geocoder {self.geocoder!r}")
         if "analyze" in stages and (self.indicators is None
                                     or not self.indicators.exists()):
@@ -323,37 +325,12 @@ def file_digest(path: Path) -> str:
 
 # --- stages --------------------------------------------------------------
 
-# Each stage takes ``held``, the results earlier stages of this run handed
-# over (and the run's country registry), and adds its own result to it.
+# Each stage takes ``held``, what its ``STAGE_TABLE`` row reads (the run's
+# country registry and the results of upstream stages), by name, and
+# returns its own result and its counts.
 
-def _input(held: dict, name: str, out_dir: Path,
-           registry: CountryRegistry | None = None) -> list:
-    """An earlier stage's result: the objects that stage handed over in
-    this process, or else its artifact decoded (and kept in ``held`` for
-    the stages after this one)."""
-    if name not in held:
-        rows = read_jsonl(out_dir / _RESULT_ARTIFACTS[name])
-        if name == "events":
-            rows = [ConsolidatedEvent.from_json_dict(d, registry) for d in rows]
-        elif name == "candidates":
-            rows = [CandidateSentence.from_json_dict(d) for d in rows]
-        elif name == "resolved":
-            rows = [ResolvedCandidate.from_json_dict(d, registry) for d in rows]
-        held[name] = rows
-    return held[name]
-
-
-def _registry(cfg: PipelineConfig, held: dict) -> CountryRegistry:
-    """The run's country registry: loaded by the first stage that asks."""
-    if "registry" not in held:
-        held["registry"] = cfg.make_registry()
-    return held["registry"]
-
-
-def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
-                      held: dict | None = None) -> dict:
-    held = {} if held is None else held
-    registry = _registry(cfg, held)
+def stage_consolidate(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, dict]:
+    registry = held["registry"]
     records = []
     rejects = []
     excluded = []
@@ -381,9 +358,8 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
     events = consolidate(resolved)
     kept = filter_multi_source(events, cfg.min_sources)
 
-    write_jsonl(out_dir / "events.jsonl", (e.to_json_dict() for e in kept))
+    write_jsonl(out_dir / ARTIFACTS["consolidate"], (e.to_json_dict() for e in kept))
     write_jsonl(out_dir / "gt_rejects.jsonl", rejects + excluded)
-    held["events"] = kept
     counts = {
         "records_parsed": len(records),
         "records_rejected": len(rejects),
@@ -392,10 +368,10 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path,
         "events_multi_source": len(kept),
     }
     counts.update((f"venn_{key}", n) for key, n in venn_counts(events).items())
-    return counts
+    return kept, counts
 
 
-def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
+def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, dict]:
     scorer = cfg.make_scorer()
     article_rejects = []
     candidates: list[CandidateSentence] = []
@@ -415,10 +391,8 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> 
     extracted = len(candidates)
     retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold)
     retained.sort(key=lambda c: (c.article_id, c.paragraph_index, c.sentence_index))
-    write_jsonl(out_dir / "candidates.jsonl", (c.to_json_dict() for c in retained))
-    if held is not None:
-        held["candidates"] = retained
-    return {
+    write_jsonl(out_dir / ARTIFACTS["scan"], (c.to_json_dict() for c in retained))
+    return retained, {
         "articles": len(occurrences) - len(shared),
         "article_rejects": len(article_rejects),
         "candidates_extracted": extracted,
@@ -438,9 +412,8 @@ def _open_maybe_compressed(path: Path):
     return open(path, "rb")
 
 
-def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
-    held = {} if held is None else held
-    registry = _registry(cfg, held)
+def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, dict]:
+    registry = held["registry"]
     gazetteer = Gazetteer.load(cfg.gazetteer_path, registry)
     spotter = GazetteerSpotter(gazetteer)
     kb = KnowledgeBase.load(registry, cfg.kb_path)
@@ -453,7 +426,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
     resolver = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path),
                                refresh=cfg.refresh_cache)
 
-    candidates = _input(held, "candidates", out_dir)
+    candidates = held["scan"]
     titles: dict[str, tuple] = {}  # title -> its date mentions and places
     spotted = []
     for cand in candidates:
@@ -488,8 +461,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
         discarded["no_date_no_place" if no_date and no_place
                   else "no_date" if no_date else "no_place"] += 1
 
-    write_jsonl(out_dir / "resolved.jsonl", (rc.to_json_dict() for rc in resolved))
-    held["resolved"] = resolved
+    write_jsonl(out_dir / ARTIFACTS["extract"], (rc.to_json_dict() for rc in resolved))
     counts = {
         "candidates_in": len(candidates),
         "candidates_resolved": resolved_candidates,
@@ -497,7 +469,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
         "geocoder_failures": resolver.failures,
     }
     counts.update((f"discarded_{reason}", n) for reason, n in discarded.items())
-    return counts
+    return resolved, counts
 
 
 def _env_cache_dir() -> Path | None:
@@ -505,29 +477,22 @@ def _env_cache_dir() -> Path | None:
     return Path(value) if value else None
 
 
-def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
-    held = {} if held is None else held
-    registry = _registry(cfg, held)
-    index = EventIndex(_input(held, "events", out_dir, registry))
-    resolved = _input(held, "resolved", out_dir, registry)
+def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, dict]:
+    index = EventIndex(held["consolidate"])
     strategy = Strategy(cfg.strategy)
-    matches = match_all(resolved, index, strategy, cfg.window_days)
+    matches = match_all(held["extract"], index, strategy, cfg.window_days)
     rows = sorted((m.to_json_dict() for m in matches),
                   key=lambda d: (d["event_id"], d["article_id"],
                                  d["sentence_index"], d["matched_date"]))
-    write_jsonl(out_dir / "matches.jsonl", rows)
-    held["matches"] = rows
-    return {
+    write_jsonl(out_dir / ARTIFACTS["match"], rows)
+    return rows, {
         "matches": len(rows),
         "events_matched": len({r["event_id"] for r in rows}),
     }
 
 
-def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) -> dict:
-    held = {} if held is None else held
-    registry = _registry(cfg, held)
-    events = _input(held, "events", out_dir, registry)
-    match_rows = _input(held, "matches", out_dir)
+def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[dict, dict]:
+    events, match_rows = held["consolidate"], held["match"]
     indicators = load_indicators(cfg.indicators)
     matched_ids = {r["event_id"] for r in match_rows}
 
@@ -540,7 +505,7 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
         _write_axis_csv(out_dir / f"analysis_{axis}.csv", axes_out[axis])
 
     matched_keys = {(r["article_id"], r["sentence_index"]) for r in match_rows}
-    matched_candidates = [c for c in _input(held, "candidates", out_dir)
+    matched_candidates = [c for c in held["scan"]
                           if (c.article_id, c.sentence_index) in matched_keys]
     domains, skipped = extract_reference_domains(matched_candidates,
                                                  cfg.top_domains)
@@ -550,10 +515,10 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict | None = None) 
         "domains": [[name, count] for name, count in domains],
         "domains_skipped_urls": skipped,
     }
-    with _replacing(out_dir / "analysis.json") as fh:
+    with _replacing(out_dir / ARTIFACTS["analyze"]) as fh:
         fh.write(json.dumps(analysis, indent=2, sort_keys=True, ensure_ascii=False)
                  + "\n")
-    return {"axes": len(axes_out), "domains": len(domains)}
+    return analysis, {"axes": len(axes_out), "domains": len(domains)}
 
 
 def _write_axis_csv(path: Path, rows: list[dict]) -> None:
@@ -571,6 +536,17 @@ def _write_axis_csv(path: Path, rows: list[dict]) -> None:
 
 # --- driver --------------------------------------------------------------
 
+def _load(cfg: PipelineConfig, out_dir: Path, name: str,
+          registry: CountryRegistry | None):
+    """What a stage reads under ``name``: the country registry, or that
+    upstream stage's result decoded from its artifact."""
+    if name == "registry":
+        return cfg.make_registry()
+    artifact, _, decode = STAGE_TABLE[name]
+    rows = read_jsonl(out_dir / artifact)
+    return rows if decode is None else [decode(row, registry) for row in rows]
+
+
 _STAGE_FUNCS = {
     "consolidate": stage_consolidate,
     "scan": stage_scan,
@@ -586,9 +562,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
 
     With ``resume`` (the default), stages whose artifact already exists in
     ``out_dir`` are skipped. Each stage that runs hands its result to the
-    later stages of this run in memory; a later stage decodes an artifact
-    only when the stage that writes it did not run. A stage failure stops
-    the run; the manifest is still written with the failed stage marked.
+    later stages of this run in memory; before a stage runs, the driver
+    loads what it reads and is not held: the registry, and each upstream
+    result decoded from its artifact. A stage failure stops the run; the
+    manifest is still written with the failed stage marked.
     """
     stages = stages or list(STAGES)
     for stage in stages:
@@ -621,16 +598,20 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
     todo = [stage for stage in STAGES if stage in stages]
     for i, stage in enumerate(todo):
         # Drop each result once the last stage of this run that reads it is done.
-        wanted = {name for later in todo[i:] for name in _INPUTS.get(later, ())}
+        wanted = {name for later in todo[i:] for name in STAGE_TABLE[later].reads}
         held = {name: value for name, value in held.items() if name in wanted}
-        artifact = out_dir / ARTIFACTS[stage]
-        if resume and artifact.exists():
+        if resume and (out_dir / ARTIFACTS[stage]).exists():
             manifest["stages"].append({"name": stage, "status": "skipped",
                                        "seconds": 0.0, "counts": {}})
             continue
         started = time.perf_counter()
         try:
-            counts = _STAGE_FUNCS[stage](cfg, out_dir, held)
+            reads = STAGE_TABLE[stage].reads
+            for name in reads:
+                if name not in held:
+                    held[name] = _load(cfg, out_dir, name, held.get("registry"))
+            held[stage], counts = _STAGE_FUNCS[stage](
+                cfg, out_dir, {name: held[name] for name in reads})
         except (ConfigError, InputError):
             raise
         except Exception as exc:

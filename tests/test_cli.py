@@ -183,6 +183,21 @@ def test_report_summarizes_run(finished_run, capsys):
     assert "precision: 7/8 = 87.50%" in out
 
 
+@pytest.mark.parametrize("labels, code", [
+    (None, 2),  # no such file
+    ("article_id,relevant\nhurricane-irma,1\n", 3),
+    ("article_id,sentence_index,relevant\nhurricane-irma,first,1\n", 3),
+], ids=["missing file", "no sentence_index column", "non-integer sentence_index"])
+def test_report_with_bad_labels_fails_in_one_line(finished_run, tmp_path, capsys,
+                                                  labels, code):
+    path = tmp_path / "labels.csv"
+    if labels is not None:
+        path.write_text(labels)
+    capsys.readouterr()
+    assert run_cli("report", "--out", finished_run, "--labels", path) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_report_without_manifest_fails(tmp_path):
     assert run_cli("report", "--out", tmp_path / "empty") == 2
 

@@ -338,11 +338,11 @@ def test_consolidate_properties(registry):
 
 
 def test_consolidate_stage_closes_its_input_files(e2e_dir, tmp_path):
-    from coverage_auditor.pipeline import PipelineConfig, stage_consolidate
+    from coverage_auditor.pipeline import PipelineConfig, run_pipeline
 
     cfg = PipelineConfig.from_ini(e2e_dir / "config.ini")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stage_consolidate(cfg, tmp_path)
+        run_pipeline(cfg, tmp_path, stages=["consolidate"])
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

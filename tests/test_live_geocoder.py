@@ -203,6 +203,21 @@ def test_a_proxied_live_run_is_a_config_error(monkeypatch, tmp_path, capsys):
     assert "HTTP_PROXY is set" in capsys.readouterr().err
 
 
+def test_a_proxied_live_run_fails_before_any_stage(monkeypatch, tmp_path, capsys):
+    for var in PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", "http://127.0.0.1:9/search")
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy:3128")
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    config = inputs / "config.ini"
+    config.write_text(config.read_text().replace("geocoder = replay:", "geocoder = live"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "HTTP_PROXY is set" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_long_answer_in_many_segments_is_read_whole(serve, registry):
     answers = [_answer(f"Place {i}, " + "x" * 100, "bo", i / 2000) for i in range(2000)]
     srv = serve({"Place": answers}, segment=1000)

@@ -4,6 +4,7 @@ and the per-geocoder cache file, on the hermetic e2e fixture."""
 import json
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,13 @@ from coverage_auditor import pipeline
 from coverage_auditor.cli import main
 from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.countries import CountryRegistry
-from coverage_auditor.pipeline import STAGES, ARTIFACTS, PipelineConfig, run_pipeline
+from coverage_auditor.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineConfig,
+                                       run_pipeline)
 from coverage_auditor.places import GazetteerSpotter
 from conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
+README = Path(__file__).resolve().parents[1] / "README.md"
 E2E_LINES = (E2E / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
 # A second article under the id of the fixture's first, with other text; its
 # flood sentence has the same (paragraph, sentence) position as one of the
@@ -129,7 +132,8 @@ def test_run_loads_the_country_registry_once(monkeypatch, tmp_path):
     cfg = PipelineConfig.from_ini(E2E / "config.ini")
     run_pipeline(cfg, tmp_path / "run")
     assert len(loads) == 1
-    pipeline.stage_match(cfg, tmp_path / "run")  # a stage on its own loads its own
+    # a stage on its own loads its own
+    run_pipeline(cfg, tmp_path / "run", resume=False, stages=["match"])
     assert len(loads) == 2
 
 
@@ -174,6 +178,43 @@ def test_resume_decodes_each_missing_result_once(fresh, read_calls, tmp_path):
     run_pipeline(PipelineConfig.from_ini(E2E / "config.ini"), out)
     # events.jsonl serves match and analyze; matches.jsonl is never read.
     assert sorted(read_calls) == ["candidates.jsonl", "events.jsonl", "resolved.jsonl"]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_reads_what_its_table_row_says(fresh, read_calls, monkeypatch,
+                                             tmp_path, stage):
+    upstream = [name for name in STAGE_TABLE[stage].reads if name != "registry"]
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in upstream:
+        shutil.copy(fresh / ARTIFACTS[name], out)
+    used = set()
+
+    class Recording(dict):
+        def __getitem__(self, name):
+            used.add(name)
+            return super().__getitem__(name)
+    run_stage = pipeline._STAGE_FUNCS[stage]
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, stage,
+                        lambda cfg, out_dir, held: run_stage(cfg, out_dir, Recording(held)))
+    run_pipeline(PipelineConfig.from_ini(E2E / "config.ini"), out, resume=False,
+                 stages=[stage])
+    written = _outputs(out)
+    assert ARTIFACTS[stage] in written
+    assert written == {name: (fresh / name).read_bytes() for name in written}
+    assert sorted(read_calls) == sorted(ARTIFACTS[name] for name in upstream)
+    assert used >= set(upstream)  # the stage reads every upstream result it declares
+
+
+def test_readme_stage_table_follows_the_stage_table():
+    rows = [line.split(" | ") for line in README.read_text().splitlines()
+            if line.startswith("| ")]
+    for stage, (artifact, reads, _) in STAGE_TABLE.items():
+        ((_, inputs, output),) = [r for r in rows if r[0] == f"| {stage}"]
+        assert f"`{artifact}`" in output, stage
+        for name in reads:
+            if name != "registry":
+                assert Path(ARTIFACTS[name]).stem in inputs, (stage, name)
 
 
 def test_extract_finds_dates_and_places_once_per_title(monkeypatch, tmp_path):
