@@ -72,17 +72,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"no manifest in {out_dir}", file=sys.stderr)
         return EXIT_CONFIG
     labels = _read_labels(args.labels) if args.labels is not None else {}
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _parsed(manifest_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
+    matches_path = out_dir / ARTIFACTS["match"]
+    events_path = out_dir / ARTIFACTS["consolidate"]
+    report = None
+    if matches_path.exists() and events_path.exists():
+        report = evaluate(_parsed(matches_path, read_jsonl), labels,
+                          len(_parsed(events_path, read_jsonl)))
+
     print(f"coverage-auditor {manifest.get('tool_version', '?')} run report")
     for stage in manifest["stages"]:
         counts = " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
         print(f"  {stage['name']:<12} {stage['status']:<8} {counts}")
-
-    matches_path = out_dir / ARTIFACTS["match"]
-    events_path = out_dir / ARTIFACTS["consolidate"]
-    if matches_path.exists() and events_path.exists():
-        report = evaluate(read_jsonl(matches_path), labels,
-                          len(read_jsonl(events_path)))
+    if report is not None:
         hit, total = report.hits, report.ground_truth_total
         rate = f"{100.0 * hit / total:.2f}%" if total else "n/a"
         print(f"  hit rate: {hit}/{total} = {rate}")
@@ -95,6 +97,15 @@ def cmd_report(args: argparse.Namespace) -> int:
                 print("  precision: undefined (no matched candidates)")
             print(f"  recall: {hit}/{total} = {rate}")
     return EXIT_OK
+
+
+def _parsed(path: Path, read):
+    """``read(path)``; a file that does not parse (JSON or UTF-8) is an
+    InputError naming it."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _read_labels(path: Path) -> dict[tuple[str, int], bool]:

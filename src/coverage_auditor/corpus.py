@@ -6,6 +6,12 @@ XML dump whose wikitext is stripped heuristically. Sentences containing a
 flood keyword, or belonging to an article whose title contains one, become
 candidate sentences; a pluggable scorer then assigns each a relevance
 probability.
+
+Most pages of a dump are not about floods, so the article gate of
+``extract_candidates`` also runs inside XML ingest, between the markup passes
+(``strip_wikitext``) and paragraph assembly (``assemble_paragraphs``): a page
+whose title and stripped text cannot hold a keyword is yielded without
+paragraphs, and never assembled.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -97,7 +104,9 @@ def ingest_articles(stream: BinaryIO | TextIO, format: str,
     """Stream articles from a JSONL file or MediaWiki XML dump.
 
     Malformed entries are appended to ``rejects`` (when given) and the
-    stream continues.
+    stream continues. Every main-namespace page of a dump is yielded, but a
+    page that ``extract_candidates`` would skip whole comes with no
+    paragraphs and no citations.
     """
     if format == "jsonl":
         yield from _ingest_jsonl(stream, rejects)
@@ -160,7 +169,7 @@ def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
                 continue  # non-article namespace
             if not title:
                 raise ValueError("page without title")
-            paragraphs, citations = strip_wikitext(fields.get("text", ""))
+            paragraphs, citations = _strip_page(title, fields.get("text", ""))
             yield Article(
                 article_id=fields.get("id", "").strip() or title,
                 title=title,
@@ -176,24 +185,49 @@ def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _TEMPLATE_RE = re.compile(r"\{\{[^{}]*\}\}", re.DOTALL)
-_REF_RE = re.compile(r"<ref[^>/]*?>(.*?)</ref>|<ref[^>]*?/>", re.DOTALL | re.IGNORECASE)
+# ``<ref[^>/]*?>(.*?)</ref>|<ref[^>]*?/>``, with the body's lazy ``.*?``
+# unrolled: runs of non-``<`` and any ``<`` that does not open ``</ref>``.
+_REF_RE = re.compile(r"<ref(?:[^>/]*?>([^<]*(?:<(?!/ref>)[^<]*)*)</ref>|[^>]*?/>)",
+                     re.IGNORECASE)
 _FILE_LINK_RE = re.compile(r"\[\[(?:File|Image|Category)\s*:[^\[\]]*\]\]", re.IGNORECASE)
 _PIPED_LINK_RE = re.compile(r"\[\[[^\[\]|]*\|([^\[\]]*)\]\]")
 _PLAIN_LINK_RE = re.compile(r"\[\[([^\[\]|]*)\]\]")
 _EXT_LINK_RE = re.compile(r"\[(https?://\S+)(?:\s+([^\]]*))?\]")
 _URL_RE = re.compile(r"https?://[^\s|<>\]}\"']+")
 _TAG_RE = re.compile(r"</?[a-zA-Z][^>]*>")
-_HEADING_RE = re.compile(r"^=+\s*(.*?)\s*=+\s*$", re.MULTILINE)
+# ``^=+\s*(.*?)\s*=+\s*$``, led by a literal ``=`` so that the search skips
+# from one ``=`` to the next; the lookbehind stands for ``^``.
+_HEADING_RE = re.compile(r"=(?<![^\n]=)=*\s*(.*?)\s*=+\s*$", re.MULTILINE)
 
-_MARK = ""  # sentinel wrapping citation slots during stripping
+# Wraps citation slots. XML 1.0 text cannot hold NUL, so no page can forge one.
+_MARK = "\x00"
+_MARKER_RE = re.compile(f"{_MARK}(\\d+):(\\d+){_MARK}")
+_group1 = operator.itemgetter(1)  # ``r"\1"`` without re's template expansion
 
 
-def strip_wikitext(text: str) -> tuple[list[str], list[Citation]]:
-    """Heuristically reduce wikitext to plain paragraphs.
+def _strip_page(title: str, wikitext: str) -> tuple[list[str], list[Citation]]:
+    """A page's paragraphs and citations, or none for a page that the
+    article gate of ``extract_candidates`` would skip.
 
-    Templates, refs and markup are removed; link display text is kept;
-    URLs inside <ref> tags are harvested and returned as citations
-    anchored at their character position in the stripped paragraph.
+    The gate runs on the stripped text, before assembly, and it is exact:
+    no keyword holds whitespace or a marker character, assembly never joins
+    two non-space characters, and the markup passes have already resolved
+    splices such as ``flo<!-- -->od``.
+    """
+    text, urls = strip_wikitext(wikitext)
+    if _may_hold_keyword(title) or _may_hold_keyword(
+            _MARKER_RE.sub("", text) if urls else text):
+        return assemble_paragraphs(text, urls)
+    return [], []
+
+
+def strip_wikitext(text: str) -> tuple[str, list[str]]:
+    """Heuristically reduce wikitext to plain text: the markup passes.
+
+    Comments, templates, refs and markup are removed; link display text is
+    kept. URLs inside <ref> tags are harvested into the returned list, and
+    each such ref leaves a marker ``\\x00slot:count\\x00`` naming its slice
+    of that list, for ``assemble_paragraphs``.
     """
     urls: list[str] = []
 
@@ -213,16 +247,20 @@ def strip_wikitext(text: str) -> tuple[list[str], list[Citation]]:
         if n == 0:
             break
     text = _FILE_LINK_RE.sub("", text)
-    text = _PIPED_LINK_RE.sub(r"\1", text)
-    text = _PLAIN_LINK_RE.sub(r"\1", text)
+    text = _PIPED_LINK_RE.sub(_group1, text)
+    text = _PLAIN_LINK_RE.sub(_group1, text)
     text = _EXT_LINK_RE.sub(lambda m: m.group(2) or "", text)
-    text = _HEADING_RE.sub(r"\1", text)
+    text = _HEADING_RE.sub(_group1, text)
     text = _TAG_RE.sub(" ", text)
-    text = text.replace("'''", "").replace("''", "")
+    return text.replace("'''", "").replace("''", ""), urls
 
+
+def assemble_paragraphs(text: str, urls: list[str]) -> tuple[list[str], list[Citation]]:
+    """Split stripped text into whitespace-normalized paragraphs; each
+    marker's URLs become citations anchored at their character position in
+    the paragraph."""
     paragraphs: list[str] = []
     citations: list[Citation] = []
-    marker_re = re.compile(f"{_MARK}(\\d+):(\\d+){_MARK}")
     for block in re.split(r"\n\s*\n", text):
         cleaned = " ".join(block.split())
         if not cleaned:
@@ -231,7 +269,7 @@ def strip_wikitext(text: str) -> tuple[list[str], list[Citation]]:
         pos = 0
         pidx = len(paragraphs)
         plain_len = 0
-        for m in marker_re.finditer(cleaned):
+        for m in _MARKER_RE.finditer(cleaned):
             chunk = cleaned[pos:m.start()]
             out.append(chunk)
             plain_len += len(chunk)

@@ -7,6 +7,9 @@ Deliberately naive, but obviously correct, which is the point:
 - source CSV parsing reads each row into a dict keyed by header name
   (``csv.DictReader``), as the parser did before it read rows by position;
 - whole-text country inference searches for every alias on its own;
+- wikitext stripping assembles every page's paragraphs and citations in
+  one function, with no gate between the markup passes and the assembly,
+  and with the older sentinel U+E000 around citation markers;
 - candidate extraction segments and keyword-tests every sentence of every
   article, with no article-level gate;
 - date finding tries the full date pattern at every position of the text;
@@ -23,7 +26,7 @@ import re
 from datetime import timedelta
 from typing import BinaryIO
 
-from coverage_auditor.corpus import (Article, CandidateSentence,
+from coverage_auditor.corpus import (Article, CandidateSentence, Citation,
                                      _owning_sentence, _sentence_spans,
                                      keyword_filter, segment_sentences)
 from coverage_auditor.countries import CountryCode, normalize_name
@@ -208,6 +211,78 @@ def oracle_infer_country(sentence: str, title: str,
         if hits:
             return min(hits, key=lambda hit: hit[:2])[2]
     return None
+
+
+_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
+_TEMPLATE_RE = re.compile(r"\{\{[^{}]*\}\}", re.DOTALL)
+_REF_RE = re.compile(r"<ref[^>/]*?>(.*?)</ref>|<ref[^>]*?/>", re.DOTALL | re.IGNORECASE)
+_FILE_LINK_RE = re.compile(r"\[\[(?:File|Image|Category)\s*:[^\[\]]*\]\]", re.IGNORECASE)
+_PIPED_LINK_RE = re.compile(r"\[\[[^\[\]|]*\|([^\[\]]*)\]\]")
+_PLAIN_LINK_RE = re.compile(r"\[\[([^\[\]|]*)\]\]")
+_EXT_LINK_RE = re.compile(r"\[(https?://\S+)(?:\s+([^\]]*))?\]")
+_URL_RE = re.compile(r"https?://[^\s|<>\]}\"']+")
+_TAG_RE = re.compile(r"</?[a-zA-Z][^>]*>")
+_HEADING_RE = re.compile(r"^=+\s*(.*?)\s*=+\s*$", re.MULTILINE)
+
+_MARK = "\ue000"  # sentinel wrapping citation slots during stripping
+
+
+def oracle_strip_wikitext(text: str) -> tuple[list[str], list[Citation]]:
+    """Heuristically reduce wikitext to plain paragraphs.
+
+    Templates, refs and markup are removed; link display text is kept;
+    URLs inside <ref> tags are harvested and returned as citations
+    anchored at their character position in the stripped paragraph.
+    """
+    urls: list[str] = []
+
+    def _take_ref(match: re.Match) -> str:
+        body = match.group(1) or ""
+        found = _URL_RE.findall(body)
+        if not found:
+            return ""
+        slot = len(urls)
+        urls.extend(found)
+        return f"{_MARK}{slot}:{len(found)}{_MARK}"
+
+    text = _COMMENT_RE.sub("", text)
+    text = _REF_RE.sub(_take_ref, text)
+    for _ in range(20):  # templates nest; strip inside-out
+        text, n = _TEMPLATE_RE.subn("", text)
+        if n == 0:
+            break
+    text = _FILE_LINK_RE.sub("", text)
+    text = _PIPED_LINK_RE.sub(r"\1", text)
+    text = _PLAIN_LINK_RE.sub(r"\1", text)
+    text = _EXT_LINK_RE.sub(lambda m: m.group(2) or "", text)
+    text = _HEADING_RE.sub(r"\1", text)
+    text = _TAG_RE.sub(" ", text)
+    text = text.replace("'''", "").replace("''", "")
+
+    paragraphs: list[str] = []
+    citations: list[Citation] = []
+    marker_re = re.compile(f"{_MARK}(\\d+):(\\d+){_MARK}")
+    for block in re.split(r"\n\s*\n", text):
+        cleaned = " ".join(block.split())
+        if not cleaned:
+            continue
+        out: list[str] = []
+        pos = 0
+        pidx = len(paragraphs)
+        plain_len = 0
+        for m in marker_re.finditer(cleaned):
+            chunk = cleaned[pos:m.start()]
+            out.append(chunk)
+            plain_len += len(chunk)
+            slot, count = int(m.group(1)), int(m.group(2))
+            for url in urls[slot:slot + count]:
+                citations.append(Citation(pidx, max(plain_len - 1, 0), url))
+            pos = m.end()
+        out.append(cleaned[pos:])
+        final = " ".join("".join(out).split())
+        if final:
+            paragraphs.append(final)
+    return paragraphs, citations
 
 
 def oracle_extract_candidates(article: Article,

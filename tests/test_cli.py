@@ -198,6 +198,21 @@ def test_report_with_bad_labels_fails_in_one_line(finished_run, tmp_path, capsys
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, damage", [
+    ("manifest.json", lambda text: '{"stages": ['),
+    ("matches.jsonl", lambda text: text[:-20]),
+    ("events.jsonl", lambda text: text + '{"event_id": '),
+], ids=["manifest", "truncated matches", "truncated events"])
+def test_report_on_a_corrupt_run_fails_in_one_line(finished_run, capsys, name, damage):
+    path = finished_run / name
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert run_cli("report", "--out", finished_run) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and name in err
+
+
 def test_report_without_manifest_fails(tmp_path):
     assert run_cli("report", "--out", tmp_path / "empty") == 2
 

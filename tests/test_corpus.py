@@ -3,18 +3,19 @@ import io
 import re
 import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverage_auditor import corpus
-from coverage_auditor.corpus import (Article, Citation, builtin_scorer,
-                                     constant_scorer, extract_candidates,
-                                     filter_by_relevance, ingest_articles,
-                                     keyword_filter, segment_sentences,
-                                     strip_wikitext)
-from oracles import oracle_extract_candidates
+from coverage_auditor.corpus import (Article, Citation, assemble_paragraphs,
+                                     builtin_scorer, constant_scorer,
+                                     extract_candidates, filter_by_relevance,
+                                     ingest_articles, keyword_filter,
+                                     segment_sentences, strip_wikitext)
+from oracles import oracle_extract_candidates, oracle_strip_wikitext
 
 
 # --- keyword filter -----------------------------------------------------------
@@ -119,7 +120,7 @@ def test_xml_ingest_does_not_keep_finished_pages():
 
 def test_strip_wikitext_nested_templates_and_external_links():
     text = "{{outer|{{inner|x}}|y}}See [http://example.com/a the report] here."
-    paragraphs, citations = strip_wikitext(text)
+    paragraphs, citations = assemble_paragraphs(*strip_wikitext(text))
     assert paragraphs == ["See the report here."]
     assert citations == []
 
@@ -229,6 +230,122 @@ def test_article_without_keyword_is_never_segmented(monkeypatch):
                                       "Then the floods came."])
     assert len(extract_candidates(flooded)) == 1
     assert calls.count("segment_sentences") == 2
+
+
+# --- gated XML stripping ------------------------------------------------------
+
+def xml_dump(pages):
+    """A MediaWiki dump of main-namespace (title, wikitext) pages, ids 1, 2, ..."""
+    page = ("<page><title>{}</title><ns>0</ns><id>{}</id>"
+            "<revision><text>{}</text></revision></page>")
+    return ("<mediawiki>" + "".join(page.format(escape(title), i, escape(text))
+                                    for i, (title, text) in enumerate(pages, start=1))
+            + "</mediawiki>").encode()
+
+
+def test_page_text_cannot_forge_a_citation():
+    text = "Floods hit \ue0000:1\ue000 the town<ref>see http://a.example/x</ref>."
+    [art] = ingest_articles(io.BytesIO(xml_dump([("Floods", text)])), "xml", [])
+    assert art.paragraphs == ["Floods hit \ue0000:1\ue000 the town."]
+    assert art.citations == [Citation(0, 24, "http://a.example/x")]
+
+
+# Wikitext pieces that can splice a keyword together or break it apart:
+# keyword fragments, every markup construct the passes strip, Unicode
+# whitespace and the ``İ`` that lower-cases to two characters. U+E000 and
+# NUL are left out: they are the old and the new marker sentinel.
+WIKI_PIECES = ["flo", "od", "FLO", "o", "d", "fl", "inundat", "nun", "dat", "İ",
+               "ı", "ion", "The ", "river", "2019", ". ", "! ", " ", "\n", "\n\n",
+               "\t", "\x85", "\xa0", "\u2028", "<!--", "-->", "<!-- c -->", "<ref>",
+               "</ref>", "</REF>", '<ref name="a">', '<ref name="b"/>',
+               "http://a.example/x", "https://b.example/y ", "{{", "}}", "{{t}}",
+               "|", "[[", "]]", "[[x|", "[[File:f.png|", "[[Category:Floods]]",
+               "[http://c.example ", "[https://d.example]", "]", "''", "'''",
+               "=", "==", "\n== ", " ==\n", "<br>", "<br/>", "</p>", "<span>",
+               "<", ">", "/"]
+
+
+# Markup that vanishes or leaves a gap when stripped, put inside a keyword
+# as in ``flo<!-- -->od``; a pair wraps the word's head, as in ``[[x|flo]]od``.
+SPLICES = ["<!-- -->", "''", "'''", "{{t}}", "{{a|{{b}}}}", "<ref>http://a.example/z</ref>",
+           "<ref/>", "<ref>no url</ref>", "<br>", " ", "\n\n", "\xa0", ("[[x|", "]]"),
+           ("[[", "]]"), ("[http://b.example ", "]"), ("''", "''"), ("<b>", "</b>")]
+
+
+@st.composite
+def spliced_keyword(draw):
+    word = draw(st.sampled_from(["flood", "Flooding", "inundation", "İnundated"]))
+    cut = draw(st.integers(1, len(word) - 1))
+    splice = draw(st.sampled_from(SPLICES))
+    if isinstance(splice, tuple):
+        return splice[0] + word[:cut] + splice[1] + word[cut:]
+    return word[:cut] + splice + word[cut:]
+
+
+def _wrap(inner, opening, closing):
+    return inner.map(lambda parts: opening + "".join(parts) + closing)
+
+
+def wikitexts(whitespace=()):
+    """Wikitext from the pieces above, with nested constructs; ``whitespace``
+    adds pieces that only a non-XML caller can pass."""
+    leaf = st.one_of(spliced_keyword(), st.sampled_from(WIKI_PIECES + list(whitespace)))
+    constructs = [("<!--", "-->"), ("<ref>", "</ref>"), ("<ref>http://e.example/", "</ref>"),
+                  ("{{t|", "}}"), ("[[x|", "]]"), ("[[", "]]"), ("[http://f.example ", "]"),
+                  ("''", "''"), ("'''", "'''"), ("\n== ", " ==\n"), ("<b>", "</b>")]
+    tree = st.recursive(leaf, lambda inner: st.one_of(
+        [_wrap(st.lists(inner, max_size=3), o, c) for o, c in constructs]),
+        max_leaves=10)
+    return st.lists(tree, max_size=8).map("".join)
+
+
+# Two of six titles pass the gate on their own.
+page_titles = st.sampled_from(["Kyushu", "Lobito", "Flo od", "Rain",
+                               "2016 Angola floods", "İnundation"])
+
+
+def _oracle_page(title, wikitext):
+    """The oracle's paragraphs and citations, or none where the gate of
+    ``extract_candidates`` would skip the article they make."""
+    paragraphs, citations = oracle_strip_wikitext(wikitext)
+    if corpus._may_hold_keyword(title) or any(map(corpus._may_hold_keyword, paragraphs)):
+        return paragraphs, citations
+    return [], []
+
+
+@settings(max_examples=400, deadline=None)
+@given(title=page_titles, wikitext=wikitexts(whitespace=["\x1c"]))
+def test_gated_strip_matches_the_oracle(title, wikitext):
+    assert corpus._strip_page(title, wikitext) == _oracle_page(title, wikitext)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pages=st.lists(st.tuples(page_titles, wikitexts()), max_size=4),
+       substring=st.booleans())
+def test_xml_ingest_matches_the_oracle(pages, substring):
+    rejects = []
+    got = list(ingest_articles(io.BytesIO(xml_dump(pages)), "xml", rejects))
+    assert rejects == []
+    assert [a.article_id for a in got] == [str(i) for i in range(1, len(pages) + 1)]
+    for art, (title, wikitext) in zip(got, pages):
+        assert (art.paragraphs, art.citations) == _oracle_page(title, wikitext)
+        want = Article(art.article_id, title, *oracle_strip_wikitext(wikitext))
+        assert ([c.to_json_dict() for c in extract_candidates(art, substring)]
+                == [c.to_json_dict() for c in oracle_extract_candidates(want, substring)])
+
+
+@pytest.mark.parametrize("wikitext, assembled", [
+    ("flo<!-- -->od", True),
+    ("fl''oo''d", True),
+    ("[[x|flo]]od", True),
+    ("flo{{t}}od", True),
+    ("floo<ref>http://a.example</ref>d", True),
+    ("flo<br>od", False),
+])
+def test_gate_sees_words_that_markup_splices(wikitext, assembled):
+    [art] = ingest_articles(io.BytesIO(xml_dump([("Kyushu", wikitext)])), "xml", [])
+    assert (art.paragraphs, art.citations) == _oracle_page("Kyushu", wikitext)
+    assert bool(art.paragraphs) is assembled
 
 
 # --- scoring ------------------------------------------------------------------

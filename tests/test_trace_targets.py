@@ -1,19 +1,50 @@
-"""Every name the benchmark's tracer (``perfbench/tracing.py``) patches
-still exists in the program, so a rename cannot leave a per-layer metric
-silently reading 0."""
+"""The benchmark's tracer (``perfbench/tracing.py``) still finds the layers
+it times: every name it patches exists in the program, and a scan of a
+MediaWiki dump runs through the patched ingest and markup passes, so a
+rename or a bypass cannot leave a per-layer metric silently reading 0."""
 
+import bz2
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+from test_corpus import MEDIAWIKI_XML
+
 ROOT = Path(__file__).resolve().parents[1]
+PATHS = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+
+def _traced(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` after instrumenting a tracer ``t``, in a fresh process."""
+    setup = (f"import sys; sys.path[:0] = {PATHS!r}; import tracing; "
+             "t = tracing.Tracer(); tracing.instrument(t)\n")
+    proc = subprocess.run([sys.executable, "-c", setup + code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def test_the_tracer_finds_every_target():
-    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    code = (f"import sys; sys.path[:0] = {paths!r}; import tracing; "
-            "tracing.instrument(tracing.Tracer())")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = _traced("")
     assert [line for line in proc.stderr.splitlines() if "not traced" in line] == []
+
+
+def test_a_traced_xml_scan_records_ingest_and_markup_passes(tmp_path):
+    plain_page = ("<page><title>Kyushu</title><ns>0</ns><id>103</id>"
+                  "<revision><text>Rain fell on [[Kyushu]].</text></revision></page>")
+    corpus = tmp_path / "corpus.xml.bz2"
+    corpus.write_bytes(bz2.compress(
+        MEDIAWIKI_XML.replace("</mediawiki>", plain_page + "</mediawiki>").encode()))
+    proc = _traced(
+        "from pathlib import Path\n"
+        "from coverage_auditor import pipeline\n"
+        f"cfg = pipeline.PipelineConfig(corpus=Path({str(corpus)!r}), corpus_format='xml')\n"
+        f"pipeline.stage_scan(cfg, Path({str(tmp_path)!r}), {{}})\n"
+        "import collections, json\n"
+        "print(json.dumps(collections.Counter(span[1] for span in t.spans)))\n")
+    spans = json.loads(proc.stdout.splitlines()[-1])
+    # Two main-namespace pages, then the end of the dump. The page without a
+    # flood keyword goes through the markup passes too: the gate reads them.
+    assert spans["corpus.ingest"] == 3
+    assert spans["corpus.strip_wikitext"] == 2
