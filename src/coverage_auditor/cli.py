@@ -72,7 +72,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"no manifest in {out_dir}", file=sys.stderr)
         return EXIT_CONFIG
     labels = _read_labels(args.labels) if args.labels is not None else {}
-    manifest = _parsed(manifest_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
+    version, stage_lines = _parsed(
+        manifest_path, lambda p: _manifest_lines(json.loads(p.read_text(encoding="utf-8"))))
     matches_path = out_dir / ARTIFACTS["match"]
     events_path = out_dir / ARTIFACTS["consolidate"]
     report = None
@@ -80,10 +81,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         report = evaluate(_parsed(matches_path, read_jsonl), labels,
                           len(_parsed(events_path, read_jsonl)))
 
-    print(f"coverage-auditor {manifest.get('tool_version', '?')} run report")
-    for stage in manifest["stages"]:
-        counts = " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
-        print(f"  {stage['name']:<12} {stage['status']:<8} {counts}")
+    print(f"coverage-auditor {version} run report")
+    for line in stage_lines:
+        print(line)
     if report is not None:
         hit, total = report.hits, report.ground_truth_total
         rate = f"{100.0 * hit / total:.2f}%" if total else "n/a"
@@ -97,6 +97,19 @@ def cmd_report(args: argparse.Namespace) -> int:
                 print("  precision: undefined (no matched candidates)")
             print(f"  recall: {hit}/{total} = {rate}")
     return EXIT_OK
+
+
+def _manifest_lines(manifest) -> tuple[str, list[str]]:
+    """The tool version and one report line per stage; a manifest of the
+    wrong shape is a ValueError."""
+    try:
+        lines = []
+        for stage in manifest["stages"]:
+            counts = " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
+            lines.append(f"  {stage['name']:<12} {stage['status']:<8} {counts}")
+        return manifest.get("tool_version", "?"), lines
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"not a run manifest ({type(exc).__name__}: {exc})") from exc
 
 
 def _parsed(path: Path, read):

@@ -71,12 +71,12 @@ class CountryRegistry:
         aliases: dict[str, str] = {}
         # Canonical display names always resolve to themselves.
         for code in countries.values():
-            aliases[normalize_name(code.display_name)] = code.iso3
-            aliases[normalize_name(code.iso3)] = code.iso3
+            aliases[_alias_key("display name", code.display_name)] = code.iso3
+            aliases[_alias_key("code", code.iso3)] = code.iso3
         for alias, iso3 in _read_tsv(alias_path):
             if iso3 not in countries:
                 raise ValueError(f"alias {alias!r} points to unknown code {iso3!r}")
-            aliases[normalize_name(alias)] = iso3
+            aliases[_alias_key("alias", alias)] = iso3
         return cls(countries, aliases, iso2_to_iso3)
 
     def get(self, iso3: str) -> CountryCode:
@@ -98,8 +98,9 @@ class CountryRegistry:
     def alias_items(self) -> list[tuple[str, CountryCode]]:
         """All (normalized alias, country) pairs, longest alias first.
 
-        Used by whole-text country inference; the length ordering makes
-        "south sudan" win over "sudan" when both could match.
+        Whole-text country inference builds its phrase matcher from them.
+        In this order, the first alias found at a position is the one that
+        wins there: "south sudan" before "sudan".
         """
         items = [(alias, self._countries[iso3])
                  for alias, iso3 in self._aliases.items()]
@@ -111,6 +112,15 @@ class CountryRegistry:
 
     def __iter__(self):
         return iter(sorted(self._countries.values(), key=lambda c: c.iso3))
+
+
+def _alias_key(kind: str, name: str) -> str:
+    """``name`` normalized. A name that normalizes to nothing would answer
+    for every name without a word in it, so it is a ``ValueError``."""
+    key = normalize_name(name)
+    if not key:
+        raise ValueError(f"{kind} {name!r} normalizes to nothing")
+    return key
 
 
 def _read_tsv(path: Path):

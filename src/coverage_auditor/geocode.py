@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Callable, Iterable, Protocol
 
 from .countries import (CountryCode, CountryRegistry, default_registry,
                         normalize_name)
-from .places import PlaceMention, ResolverStage
+from .places import PhraseMatcher, PlaceMention, ResolverStage
 
 log = logging.getLogger(__name__)
 
@@ -225,22 +224,21 @@ def remote_geocode(placename: str, client: GeocoderClient,
 class AliasScanInferencer:
     """Scan sentence then title for country names/demonyms; first hit wins.
 
-    Longer aliases take precedence at equal positions, so "South Sudan"
-    is never read as "Sudan".
+    Both are normalized and split into words, and a ``PhraseMatcher`` over
+    the registry's normalized aliases finds the leftmost alias; at one
+    word, the alias of the most words wins, so "South Sudan" is never read
+    as "Sudan". Normalized text is runs of word characters separated by
+    single spaces, so this is the leftmost, then longest, alias found at
+    word boundaries.
     """
 
     def __init__(self, registry: CountryRegistry):
-        items = registry.alias_items()
-        self._countries = dict(items)
-        # Longest alias first: at the leftmost match, the longest one wins.
-        self._pattern = re.compile(
-            r"\b(?:" + "|".join(re.escape(alias) for alias, _ in items) + r")\b")
+        self._aliases = PhraseMatcher(dict(registry.alias_items()))
 
     def __call__(self, sentence: str, title: str) -> CountryCode | None:
         for text in (sentence, title):
-            m = self._pattern.search(normalize_name(text))
-            if m:
-                return self._countries[m.group()]
+            for _, _, country in self._aliases.matches(normalize_name(text).split()):
+                return country
         return None
 
 

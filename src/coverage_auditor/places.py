@@ -1,8 +1,11 @@
-"""Placename spotting and candidate expansion.
+"""Placename spotting, phrase matching and candidate expansion.
 
 The default extractor is a deterministic gazetteer longest-match over
 capitalized token spans, so tests run hermetically; an external NER tagger
-can be plugged in through the same callable interface.
+can be plugged in through the same callable interface. ``PhraseMatcher``
+finds the leftmost-longest phrases of a word list with one dict probe per
+word that starts none; the spotter and whole-text country inference
+(``geocode.AliasScanInferencer``) both run on it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .countries import CountryCode, CountryRegistry
 from .corpus import CandidateSentence
@@ -66,12 +69,46 @@ class ResolvedCandidate:
 PlacenameExtractor = Callable[[str], list[str]]
 
 
+class PhraseMatcher:
+    """Leftmost-longest, non-overlapping matches of whole-word phrases.
+
+    ``phrases`` maps a phrase (words joined by single spaces) to a value
+    other than None. A word that starts no phrase costs one dict probe; at
+    one that does, the longest phrase length starting there is tried first.
+    """
+
+    def __init__(self, phrases: dict[str, object]):
+        self._values = phrases
+        self._longest: dict[str, int] = {}  # first word -> most words
+        for phrase in phrases:
+            words = phrase.split(" ")
+            if len(words) > self._longest.get(words[0], 0):
+                self._longest[words[0]] = len(words)
+
+    def matches(self, words: list[str]) -> Iterator[tuple[int, int, object]]:
+        """(start, end, value) of each match in ``words[start:end]``, left
+        to right."""
+        longest, values = self._longest, self._values
+        i, n = 0, len(words)
+        while i < n:
+            start, i = i, i + 1
+            most = longest.get(words[start])
+            if most is None:
+                continue
+            for end in range(min(start + most, n), start, -1):
+                value = values.get(" ".join(words[start:end]))
+                if value is not None:
+                    yield start, end, value
+                    i = end
+                    break
+
+
 class Gazetteer:
-    """Immutable set of lowercased placename phrases."""
+    """Immutable set of lowercased placename phrases, held as a
+    ``PhraseMatcher`` whose values are the phrases themselves."""
 
     def __init__(self, names: set[str]):
-        self._names = frozenset(names)
-        self.max_tokens = max((len(k.split()) for k in self._names), default=1)
+        self.phrases = PhraseMatcher({name: name for name in names})
 
     @classmethod
     def load(cls, path: Path | None = None,
@@ -88,9 +125,6 @@ class Gazetteer:
                 names.add(line.split("\t", 1)[0].strip().lower())
         return cls(names)
 
-    def __contains__(self, phrase: str) -> bool:
-        return phrase.lower() in self._names
-
 
 _CAP_TOKEN_RE = re.compile(r"\b[A-Z][\w'’-]*\b")
 
@@ -103,23 +137,13 @@ class GazetteerSpotter:
 
     def __call__(self, text: str) -> list[str]:
         spans: list[str] = []
+        matches = self.gazetteer.phrases.matches
         for run in _capitalized_runs(text):
-            i = 0
-            while i < len(run):
-                matched = False
-                max_len = min(len(run) - i, self.gazetteer.max_tokens)
-                for length in range(max_len, 0, -1):
-                    tokens = run[i:i + length]
-                    phrase_start = tokens[0][1]
-                    phrase_end = tokens[-1][1] + len(tokens[-1][0])
-                    phrase = text[phrase_start:phrase_end]
-                    if " ".join(t[0] for t in tokens) in self.gazetteer:
-                        spans.append(phrase)
-                        i += length
-                        matched = True
-                        break
-                if not matched:
-                    i += 1
+            # Lowercasing token by token equals lowercasing the phrase: the
+            # space between tokens ends any final-sigma context.
+            for start, end, _ in matches([token.lower() for token, _ in run]):
+                last, last_at = run[end - 1]
+                spans.append(text[run[start][1]:last_at + len(last)])
         return spans
 
 

@@ -7,6 +7,10 @@ Deliberately naive, but obviously correct, which is the point:
 - source CSV parsing reads each row into a dict keyed by header name
   (``csv.DictReader``), as the parser did before it read rows by position;
 - whole-text country inference searches for every alias on its own;
+- placename spotting joins and lowercases the tokens of every phrase
+  length at every token of a capitalized run, longest first, and looks the
+  phrase up in a set of names, as the spotter did before it used a phrase
+  matcher;
 - wikitext stripping assembles every page's paragraphs and citations in
   one function, with no gate between the markup passes and the assembly,
   and with the older sentinel U+E000 around citation markers;
@@ -40,7 +44,7 @@ from coverage_auditor.ground_truth import (_SCHEMAS, ConsolidatedEvent,
 from coverage_auditor.matching import (DEFAULT_WINDOW_DAYS, MatchResult,
                                        Strategy, _candidate_interval,
                                        _month_interval)
-from coverage_auditor.places import ResolvedCandidate
+from coverage_auditor.places import ResolvedCandidate, _capitalized_runs
 
 
 def _records_overlap(a: SourceRecord, b: SourceRecord) -> bool:
@@ -211,6 +215,31 @@ def oracle_infer_country(sentence: str, title: str,
         if hits:
             return min(hits, key=lambda hit: hit[:2])[2]
     return None
+
+
+def oracle_spot(text: str, names: set[str]) -> list[str]:
+    """Longest-match spans of the lowercased ``names`` over runs of
+    capitalized tokens, left to right."""
+    max_tokens = max((len(k.split()) for k in names), default=1)
+    spans: list[str] = []
+    for run in _capitalized_runs(text):
+        i = 0
+        while i < len(run):
+            matched = False
+            max_len = min(len(run) - i, max_tokens)
+            for length in range(max_len, 0, -1):
+                tokens = run[i:i + length]
+                phrase_start = tokens[0][1]
+                phrase_end = tokens[-1][1] + len(tokens[-1][0])
+                phrase = text[phrase_start:phrase_end]
+                if " ".join(t[0] for t in tokens).lower() in names:
+                    spans.append(phrase)
+                    i += length
+                    matched = True
+                    break
+            if not matched:
+                i += 1
+    return spans
 
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)

@@ -213,6 +213,21 @@ def test_report_on_a_corrupt_run_fails_in_one_line(finished_run, capsys, name, d
     assert len(err.splitlines()) == 1 and name in err
 
 
+@pytest.mark.parametrize("manifest", [
+    "{}",
+    '{"stages": [{"name": "scan"}]}',
+    "[]",
+], ids=["no stages", "stage without counts", "not an object"])
+def test_report_on_a_wrong_shaped_manifest_fails_in_one_line(finished_run, capsys,
+                                                             manifest):
+    (finished_run / "manifest.json").write_text(manifest)
+    capsys.readouterr()
+    assert run_cli("report", "--out", finished_run) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "manifest.json" in err
+
+
 def test_report_without_manifest_fails(tmp_path):
     assert run_cli("report", "--out", tmp_path / "empty") == 2
 

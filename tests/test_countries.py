@@ -7,6 +7,10 @@ from coverage_auditor.countries import (Continent, CountryRegistry,
                                         default_registry, normalize_name)
 
 
+def _bundled(filename: str) -> Path:
+    return Path(str(resources.files("coverage_auditor").joinpath("data", filename)))
+
+
 def test_normalize_name():
     assert normalize_name("  Iran (Islamic Republic of) ") == "iran islamic republic of"
     assert normalize_name("VIET NAM") == "viet nam"
@@ -57,9 +61,8 @@ def test_registry_iterates_sorted_by_iso3(registry):
 
 
 def test_every_registry_row_has_a_distinct_alpha2_code():
-    path = Path(str(resources.files("coverage_auditor").joinpath(
-        "data", "country_registry.tsv")))
-    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()
+    text = _bundled("country_registry.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in text.splitlines()
             if line and not line.startswith("#")]
     codes = [row[3] for row in rows]
     assert all(len(row) == 4 for row in rows)
@@ -86,3 +89,22 @@ def test_load_rejects_alias_to_unknown_code(tmp_path):
     bad.write_text("Atlantis\tATL\n")
     with pytest.raises(ValueError):
         CountryRegistry.load(reg, bad)
+
+
+def test_load_rejects_an_alias_that_normalizes_to_nothing(tmp_path):
+    # Loaded, "(?)" would make "" and "---" name France, and make
+    # whole-text inference answer France for any text.
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text(_bundled("country_aliases.tsv").read_text(encoding="utf-8")
+                       + "(?)\tFRA\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"alias '\(\?\)'"):
+        CountryRegistry.load(_bundled("country_registry.tsv"), aliases)
+
+
+def test_load_rejects_a_display_name_that_normalizes_to_nothing(tmp_path):
+    reg = tmp_path / "registry.tsv"
+    reg.write_text("USA\tUnited States\tNorthAmerica\tUS\nFRA\t---\tEurope\tFR\n")
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text("")
+    with pytest.raises(ValueError, match="display name '---'"):
+        CountryRegistry.load(reg, aliases)

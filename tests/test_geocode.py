@@ -144,8 +144,10 @@ def test_alias_scan_respects_word_boundaries(registry):
 # Words that contain an alias, or sit next to one, without being it.
 NEAR_MISSES = ["Indiana", "Sudanese", "Nigeria-based", "Guineas", "Chinatown",
                "Jordanian", "Georgia", "Nigerien", "Congo", "Dominican"]
-FILLER = ["floods", "in", "the", "north", "of", "and", "hit", "2019"]
+FILLER = ["floods", "in", "the", "north", "of", "and", "hit", "2019", "7",
+          "\u0130", "\u0130ndia", "_"]
 PUNCTUATION = [",", ".", "-", "'", "(", ")", ";", "\u2019"]
+SEPARATORS = [" ", "", " - ", ", ", "\t", "\u00a0", "_"]
 
 
 @pytest.fixture(scope="module", params=["bundled", "nested"])
@@ -175,7 +177,7 @@ def test_alias_scan_matches_brute_force_oracle(scan_registry, data):
                       st.sampled_from(NEAR_MISSES), st.sampled_from(FILLER),
                       st.sampled_from(PUNCTUATION))
     case = st.sampled_from([str, str.upper, str.title, str.capitalize])
-    text = st.lists(st.tuples(token, case, st.sampled_from([" ", "", " - ", ", "])),
+    text = st.lists(st.tuples(token, case, st.sampled_from(SEPARATORS)),
                     max_size=8).map(
         lambda parts: "".join(change(tok) + sep for tok, change, sep in parts))
     sentence, title = data.draw(text), data.draw(text)

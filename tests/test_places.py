@@ -1,4 +1,9 @@
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_spot
 
 from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.dates import DateMention, YearSource
@@ -52,6 +57,44 @@ def test_gazetteer_reads_the_first_field_of_wider_files(tmp_path):
     spotter = GazetteerSpotter(Gazetteer.load(path))
     assert names(spotter, "Floods reached Middlewich and the Rhine Delta.") == [
         "Middlewich", "Rhine Delta"]
+
+
+# Capitalized words that are no name, and near misses of names.
+NON_NAMES = ["The", "Hurricane", "North", "Upper", "Saint", "Rio", "Ka\u03c3", "Ka’s",
+             "Yorkshire", "New-York", "Floridas", "A1", "Coon_Valley"]
+OTHER_WORDS = ["in", "of", "flooded", "2019", "51", "_", "\u0130", "\u03a3", "K\u03a3",
+               "K\u0130RK", "\u0130zmir"]
+SEPARATORS = [" ", "  ", "\t", "\n", "\u00a0", ", ", ",", "-", "\u2019", ". "]
+
+
+@pytest.fixture(scope="module", params=["bundled", "nested"])
+def spot_names(request, registry):
+    """The bundled gazetteer's names, and a set of nested names (a name, its
+    prefix and its suffix), names holding a final sigma, a dotted capital I,
+    ``’``, ``-``, ``_`` or a digit, and names that can never match."""
+    if request.param == "bundled":
+        path = resources.files("coverage_auditor").joinpath("data", "gazetteer.tsv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return ({c.display_name.lower() for c in registry}
+                | {line.split("\t", 1)[0].strip().lower() for line in lines
+                   if line and not line.startswith("#")})
+    return {"new york", "new york city", "york", "upper rhine delta", "rhine delta",
+            "rhine", "saint-denis", "o’hare bay", "ka\u03c2", "ka\u03c2 bay", "a1 road",
+            "rio_grande", "ki\u0307rk", "ki\u0307rk port", "", "rhine  gap", "ka\u00a0bay"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spotter_matches_the_oracle(spot_names, data):
+    names = sorted(spot_names)
+    words = sorted({word for name in names for word in name.split()})
+    token = st.one_of(st.sampled_from(names), st.sampled_from(words),
+                      st.sampled_from(NON_NAMES), st.sampled_from(OTHER_WORDS))
+    case = st.sampled_from([str, str.upper, str.title, str.capitalize, str.lower])
+    text = data.draw(st.lists(st.tuples(token, case, st.sampled_from(SEPARATORS)),
+                              max_size=10).map(
+        lambda parts: "".join(change(tok) + sep for tok, change, sep in parts)))
+    assert GazetteerSpotter(Gazetteer(spot_names))(text) == oracle_spot(text, spot_names)
 
 
 # --- candidate expansion --------------------------------------------------------

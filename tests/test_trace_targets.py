@@ -1,6 +1,7 @@
 """The benchmark's tracer (``perfbench/tracing.py``) still finds the layers
-it times: every name it patches exists in the program, and a scan of a
-MediaWiki dump runs through the patched ingest and markup passes, so a
+it times: every name it patches exists in the program, a scan of a
+MediaWiki dump runs through the patched ingest and markup passes, and
+extract runs through the patched spotter and context inference, so a
 rename or a bypass cannot leave a per-layer metric silently reading 0."""
 
 import bz2
@@ -12,6 +13,7 @@ from pathlib import Path
 from test_corpus import MEDIAWIKI_XML
 
 ROOT = Path(__file__).resolve().parents[1]
+E2E = ROOT / "tests" / "fixtures" / "e2e"
 PATHS = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 
@@ -48,3 +50,17 @@ def test_a_traced_xml_scan_records_ingest_and_markup_passes(tmp_path):
     # flood keyword goes through the markup passes too: the gate reads them.
     assert spans["corpus.ingest"] == 3
     assert spans["corpus.strip_wikitext"] == 2
+
+
+def test_a_traced_extract_records_spotter_and_context_inference(tmp_path):
+    proc = _traced(
+        "from pathlib import Path\n"
+        "from coverage_auditor import pipeline\n"
+        f"cfg = pipeline.PipelineConfig.from_ini(Path({str(E2E / 'config.ini')!r}))\n"
+        f"pipeline.run_pipeline(cfg, Path({str(tmp_path)!r}), stages=['scan', 'extract'])\n"
+        "import collections, json\n"
+        "print(json.dumps(collections.Counter(span[1] for span in t.spans)))\n")
+    spans = json.loads(proc.stdout.splitlines()[-1])
+    assert spans["pipeline.extract"] == 1
+    assert spans["places.spotter"] > 0
+    assert spans["geocode.context_infer"] > 0
