@@ -60,15 +60,18 @@ def load_indicators(path: Path) -> dict[str, CountryIndicators]:
     indicators: dict[str, CountryIndicators] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
-            ind = CountryIndicators(
-                iso3=row["iso3"].strip(),
-                gdp_per_capita_usd=_float(row["gdp_per_capita"]),
-                gni_group=row["gni_group"].strip() or None,
-                vulnerability=_float(row["vulnerability"]),
-                lack_of_coping=_float(row["lack_of_coping"]),
-                english_speaker_pct=_float(row["english_pct"]),
-                population=_int(row["population"]),
-            )
+            try:
+                ind = CountryIndicators(
+                    iso3=row["iso3"].strip(),
+                    gdp_per_capita_usd=_float(row["gdp_per_capita"]),
+                    gni_group=row["gni_group"].strip() or None,
+                    vulnerability=_float(row["vulnerability"]),
+                    lack_of_coping=_float(row["lack_of_coping"]),
+                    english_speaker_pct=_float(row["english_pct"]),
+                    population=_int(row["population"]),
+                )
+            except KeyError as exc:
+                raise ValueError(f"indicators {path}: no {exc.args[0]} column") from None
             indicators[ind.iso3] = ind
     return indicators
 

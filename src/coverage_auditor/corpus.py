@@ -2,10 +2,11 @@
 filtering, and relevance scoring.
 
 Articles come in as JSON Lines (plain text, bit-faithful) or as a MediaWiki
-XML dump whose wikitext is stripped heuristically. Sentences containing a
-flood keyword, or belonging to an article whose title contains one, become
-candidate sentences; a pluggable scorer then assigns each a relevance
-probability.
+XML dump whose wikitext is stripped heuristically; ``sniff_format`` tells
+the two apart by the first byte of the decompressed stream. Sentences
+containing a flood keyword, or belonging to an article whose title contains
+one, become candidate sentences; a pluggable scorer then assigns each a
+relevance probability.
 
 Most pages of a dump are not about floods, so the article gate of
 ``extract_candidates`` also runs inside XML ingest, between the markup passes
@@ -16,6 +17,7 @@ paragraphs, and never assembled.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import math
@@ -98,6 +100,14 @@ class ArticleReject:
 
 
 # --- ingestion --------------------------------------------------------------
+
+def sniff_format(stream: BinaryIO) -> str:
+    """``xml`` when the first byte of ``stream`` past an optional UTF-8 BOM
+    and ASCII whitespace is ``<``, else ``jsonl``. Only peeks, so the stream
+    still starts at its first byte."""
+    head = stream.peek(64).removeprefix(codecs.BOM_UTF8).lstrip()
+    return "xml" if head.startswith(b"<") else "jsonl"
+
 
 def ingest_articles(stream: BinaryIO | TextIO, format: str,
                     rejects: list[ArticleReject] | None = None) -> Iterator[Article]:

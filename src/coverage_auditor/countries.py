@@ -63,8 +63,7 @@ class CountryRegistry:
 
         countries: dict[str, CountryCode] = {}
         iso2_to_iso3: dict[str, str] = {}
-        for line in _read_tsv(registry_path):
-            iso3, display_name, continent, iso2 = line
+        for iso3, display_name, continent, iso2 in _read_tsv(registry_path, 4):
             countries[iso3] = CountryCode(iso3, display_name, Continent(continent))
             iso2_to_iso3[iso2] = iso3
 
@@ -73,7 +72,7 @@ class CountryRegistry:
         for code in countries.values():
             aliases[_alias_key("display name", code.display_name)] = code.iso3
             aliases[_alias_key("code", code.iso3)] = code.iso3
-        for alias, iso3 in _read_tsv(alias_path):
+        for alias, iso3 in _read_tsv(alias_path, 2):
             if iso3 not in countries:
                 raise ValueError(f"alias {alias!r} points to unknown code {iso3!r}")
             aliases[_alias_key("alias", alias)] = iso3
@@ -123,13 +122,20 @@ def _alias_key(kind: str, name: str) -> str:
     return key
 
 
-def _read_tsv(path: Path):
+def _read_tsv(path: Path, width: int):
+    """Each row of a tab-separated table as its ``width`` fields, stripped;
+    blank lines and ``#`` comments are skipped. A row of another width is a
+    ValueError naming the file and line."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            yield tuple(field.strip() for field in line.split("\t"))
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ValueError(f"{path} line {line_no}: {len(fields)} "
+                                 f"tab-separated fields, expected {width}")
+            yield [field.strip() for field in fields]
 
 
 _DEFAULT: CountryRegistry | None = None

@@ -18,12 +18,11 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
-from .countries import (CountryCode, CountryRegistry, default_registry,
-                        normalize_name)
+from .countries import (CountryCode, CountryRegistry, _default_data_path,
+                        _read_tsv, default_registry, normalize_name)
 from .places import PhraseMatcher, PlaceMention, ResolverStage
 
 log = logging.getLogger(__name__)
@@ -65,18 +64,11 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, registry: CountryRegistry, path: Path | None = None) -> "KnowledgeBase":
-        path = path or Path(str(resources.files("coverage_auditor")
-                                .joinpath("data", "kb.tsv")))
         entries: dict[str, tuple[str, bool]] = {}
         for country in registry:
             entries[normalize_name(country.display_name)] = (country.iso3, True)
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                name, iso3, flag = (f.strip() for f in line.split("\t"))
-                entries[normalize_name(name)] = (iso3, flag.lower() == "true")
+        for name, iso3, flag in _read_tsv(path or _default_data_path("kb.tsv"), 3):
+            entries[normalize_name(name)] = (iso3, flag.lower() == "true")
         return cls(entries, registry)
 
     def lookup(self, placename: str) -> CountryCode | None:

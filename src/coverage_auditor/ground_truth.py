@@ -2,9 +2,12 @@
 
 Three source databases feed the ground truth: a news-curated feed
 (floodlist), a validated disaster registry (emdat), and a remote-sensing /
-news archive (dfo). Records from the same country whose date ranges
-overlap (transitively, endpoints inclusive) are merged into a single
-country-level event carrying provenance flags for each source.
+news archive (dfo). ``SOURCES`` gives each one row, in ``Source`` order:
+its CSV header, the builder that reads a row of it by position, and the
+``ConsolidatedEvent`` flag that marks an event it confirms. Records from
+the same country whose date ranges overlap (transitively, endpoints
+inclusive) are merged into a single country-level event carrying those
+flags; ``venn_counts`` reports the events per combination of sources.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import io
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
+from itertools import combinations
 from operator import attrgetter
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .countries import CountryCode, CountryRegistry
 
@@ -111,15 +115,6 @@ class ConsolidatedEvent:
 
 # --- parsing ---------------------------------------------------------------
 
-_SCHEMAS = {
-    Source.FLOODLIST: ["country", "start_date", "end_date", "fatalities",
-                       "locations", "tags", "id"],
-    Source.EMDAT: ["iso", "country", "start_date", "end_date", "deaths",
-                   "affected", "disaster_type", "id"],
-    Source.DFO: ["country", "began", "ended", "dead", "displaced", "id"],
-}
-
-
 def _parse_date(value: str) -> date | None:
     value = value.strip()
     if not value:
@@ -162,12 +157,11 @@ def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
     except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"unreadable {source_id.value} file: {exc}") from exc
 
-    expected = _SCHEMAS[source_id]
+    expected, build, _ = SOURCES[source_id]
     if header is None or [h.strip() for h in header] != expected:
         raise IOError(
             f"{source_id.value}: header {header} does not match schema {expected}")
 
-    build = _BUILDERS[source_id]
     width = len(expected)
     records: list[SourceRecord] = []
     rejects: list[RejectedRow] = []
@@ -189,8 +183,8 @@ def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
         except ValueError as exc:
             rejects.append(RejectedRow(line_no, str(exc)))
             continue
-        if record is None:
-            excluded.append(RejectedRow(line_no, _exclusion_reason(row, source_id)))
+        if isinstance(record, str):
+            excluded.append(RejectedRow(line_no, record))
             continue
         key = (record.native_id, record.country_raw.strip().lower())
         if key in seen_ids:
@@ -202,24 +196,17 @@ def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
     return ParseResult(records, rejects, excluded)
 
 
-def _exclusion_reason(row: list[str], source_id: Source) -> str:
-    if source_id is Source.EMDAT:
-        dtype = row[_SCHEMAS[Source.EMDAT].index("disaster_type")]
-        return f"disaster_type {dtype!r} is not flood/storm"
-    return "tagged only as landslides"
-
-
 # One builder per source maps a row, by position, to a SourceRecord, or to
-# None when the source's relevance filter drops it; fields past the schema's
+# the reason the source's relevance filter drops it; fields past the header's
 # are ignored. A malformed field raises ValueError; faults are tested in the
 # order filter, dates, counts, id, then end before start.
 
-def _floodlist_record(row: list[str]) -> SourceRecord | None:
+def _floodlist_record(row: list[str]) -> SourceRecord | str:
     country, start, end, fatalities, locations, tags, native_id, *_ = row
     tags = [t.strip().lower() for t in tags.split(";") if t.strip()]
     # News items tagged only as landslides are not floods.
     if tags and set(tags) == {"landslides"}:
-        return None
+        return "tagged only as landslides"
     start, end = _parse_date(start), _parse_date(end)
     return _checked(SourceRecord(
         Source.FLOODLIST, country, _require(start, "start_date"), end,
@@ -228,20 +215,19 @@ def _floodlist_record(row: list[str]) -> SourceRecord | None:
         native_id.strip(), "Flood"))
 
 
-def _emdat_record(row: list[str]) -> SourceRecord | None:
+def _emdat_record(row: list[str]) -> SourceRecord | str:
     _, country, start, end, deaths, affected, dtype, native_id, *_ = row
     # Keep only events whose primary disaster type is a flood or storm.
-    dtype = dtype.strip()
     lowered = dtype.lower()
     if "flood" not in lowered and "storm" not in lowered:
-        return None
+        return f"disaster_type {dtype!r} is not flood/storm"
     return _checked(SourceRecord(
         Source.EMDAT, country, _require(_parse_date(start), "start_date"),
         _parse_date(end), _parse_count(deaths), affected.strip() or None, [],
-        native_id.strip(), dtype))
+        native_id.strip(), dtype.strip()))
 
 
-def _dfo_record(row: list[str]) -> SourceRecord | None:
+def _dfo_record(row: list[str]) -> SourceRecord:
     country, began, ended, dead, displaced, native_id, *_ = row
     displaced = displaced.strip()
     return _checked(SourceRecord(
@@ -251,8 +237,28 @@ def _dfo_record(row: list[str]) -> SourceRecord | None:
         native_id.strip(), "Flood"))
 
 
-_BUILDERS = {Source.FLOODLIST: _floodlist_record, Source.EMDAT: _emdat_record,
-             Source.DFO: _dfo_record}
+class SourceSpec(NamedTuple):
+    """A source database's CSV header, whose columns its rows hold by
+    position; ``build(row)``, a ``SourceRecord`` or the reason the row is
+    excluded; and the ``ConsolidatedEvent`` flag of the events it confirms."""
+    header: list[str]
+    build: Callable[[list[str]], SourceRecord | str]
+    flag: str
+
+
+# The source databases in ``Source`` order, which is also the Venn order.
+SOURCES = {
+    Source.FLOODLIST: SourceSpec(
+        ["country", "start_date", "end_date", "fatalities", "locations", "tags", "id"],
+        _floodlist_record, "in_floodlist"),
+    Source.EMDAT: SourceSpec(
+        ["iso", "country", "start_date", "end_date", "deaths", "affected",
+         "disaster_type", "id"],
+        _emdat_record, "in_emdat"),
+    Source.DFO: SourceSpec(
+        ["country", "began", "ended", "dead", "displaced", "id"],
+        _dfo_record, "in_dartmouth"),
+}
 
 
 def _checked(record: SourceRecord) -> SourceRecord:
@@ -328,6 +334,8 @@ def _ref(rec: SourceRecord) -> str:
 _BY_RANGE = attrgetter("start_date", "end_date", "source_id", "native_id")
 _BY_SOURCE_ID = attrgetter("source_id", "native_id")
 _SOURCE_NAMES = {source: source.value for source in Source}
+_FLAGS = {source: spec.flag for source, spec in SOURCES.items()}
+_NO_FLAGS = dict.fromkeys(_FLAGS.values(), False)
 
 
 def consolidate(records: list[SourceRecord]) -> list[ConsolidatedEvent]:
@@ -379,7 +387,7 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
     affected = None
     locations_by_source: dict[str, list[str]] = {}
     disaster_types: set[str] = set()
-    sources: set[Source] = set()
+    flags = _NO_FLAGS.copy()
     for rec in members:
         source = _SOURCE_NAMES[rec.source_id]
         if rec.start_date < start:
@@ -401,7 +409,7 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
                 if loc not in bucket:
                     bucket.append(loc)
         disaster_types.add(rec.disaster_type)
-        sources.add(rec.source_id)
+        flags[_FLAGS[rec.source_id]] = True
 
     return ConsolidatedEvent(
         event_id=f"{country.iso3}-{start.isoformat()}",
@@ -413,9 +421,7 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
         locations_by_source=locations_by_source,
         native_ids=native_ids,
         disaster_type=", ".join(sorted(disaster_types)),
-        in_emdat=Source.EMDAT in sources,
-        in_dartmouth=Source.DFO in sources,
-        in_floodlist=Source.FLOODLIST in sources,
+        **flags,
     )
 
 
@@ -425,25 +431,20 @@ def filter_multi_source(events: list[ConsolidatedEvent],
     return [e for e in events if e.source_count >= min_sources]
 
 
-VENN_KEYS = [
-    "floodlist", "emdat", "dfo",
-    "floodlist+emdat", "floodlist+dfo", "emdat+dfo",
-    "floodlist+emdat+dfo",
-]
+# Each non-empty combination of sources, keyed by the flags of the events
+# it counts; the combinations are in ``Source`` order, singles first.
+_VENN = {tuple(source in combo for source in Source): "+".join(s.value for s in combo)
+         for n in range(1, len(Source) + 1) for combo in combinations(Source, n)}
+VENN_KEYS = list(_VENN.values())
+_EVENT_FLAGS = attrgetter(*_FLAGS.values())
 
 
 def venn_counts(events: list[ConsolidatedEvent]) -> dict[str, int]:
     """Count events per non-empty source combination; sums to len(events)."""
     counts = {key: 0 for key in VENN_KEYS}
     for event in events:
-        parts = []
-        if event.in_floodlist:
-            parts.append("floodlist")
-        if event.in_emdat:
-            parts.append("emdat")
-        if event.in_dartmouth:
-            parts.append("dfo")
-        if not parts:
+        key = _VENN.get(_EVENT_FLAGS(event))
+        if key is None:
             raise ValueError(f"event {event.event_id} has no source flags")
-        counts["+".join(parts)] += 1
+        counts[key] += 1
     return counts

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import logging
 import os
 import time
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from . import __version__
 from .analysis import AXES, extract_reference_domains, load_indicators, stratify
 from .corpus import (ArticleReject, CandidateSentence, builtin_scorer,
                      constant_scorer, extract_candidates, filter_by_relevance,
-                     ingest_articles)
+                     ingest_articles, sniff_format)
 from .countries import CountryRegistry
 from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
@@ -41,6 +42,8 @@ from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
                      expand_candidates, extract_placenames)
 
 CACHE_DIR_ENV = "COVAUD_CACHE_DIR"
+
+log = logging.getLogger(__name__)
 
 
 class Stage(NamedTuple):
@@ -88,7 +91,6 @@ class PipelineConfig:
     emdat: Path | None = None
     dfo: Path | None = None
     corpus: Path | None = None
-    corpus_format: str = "jsonl"
     indicators: Path | None = None
     registry_path: Path | None = None
     alias_path: Path | None = None
@@ -113,13 +115,30 @@ class PipelineConfig:
     @classmethod
     def from_ini(cls, path: Path) -> "PipelineConfig":
         """The defaults, overridden by each ``SETTINGS`` key the file sets to a
-        non-empty value; relative paths resolve against the file's directory."""
+        non-empty value; relative paths resolve against the file's directory.
+        A section or key that names no setting is logged and ignored."""
         parser = configparser.ConfigParser()
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+        known = {s.ini for s in SETTINGS if s.ini} | {"extract.replay"}
+        # A [DEFAULT] key is read in every section: it names a setting if it
+        # names one in any section.
+        defaults = parser.defaults()
+        for key in defaults:
+            if not any(name.endswith(f".{key}") for name in known):
+                log.warning("%s: unknown key DEFAULT.%s ignored", path, key)
+        sections = {name.partition(".")[0] for name in known}
+        for section in parser.sections():
+            if section not in sections:
+                log.warning("%s: unknown section [%s] ignored", path, section)
+                continue
+            for key in parser.options(section):
+                if f"{section}.{key}" not in known and key not in defaults:
+                    log.warning("%s: unknown key %s.%s ignored", path, section, key)
 
         base = Path(path).resolve().parent
         cfg = cls()
@@ -143,27 +162,26 @@ class PipelineConfig:
 
     def validate(self, stages: list[str]) -> None:
         """Fail fast, before any stage executes."""
+        reads_registry = any("registry" in STAGE_TABLE[stage].reads for stage in stages)
         for s in SETTINGS:
-            if s.choices and s.stage in stages:
-                value = getattr(self, s.field)
+            # The settings without a stage are the registry's files.
+            if not (s.stage in stages if s.stage else reads_registry):
+                continue
+            value = getattr(self, s.field)
+            if s.choices:
                 for v in value if isinstance(value, list) else [value]:
                     if v not in s.choices:
                         raise ConfigError(f"{s.field} must be in {s.choices}, got {v!r}")
-        files = []  # (name, path) of the files the stages read, where set
-        if any("registry" in STAGE_TABLE[stage].reads for stage in stages):
-            files += [("registry", self.registry_path), ("aliases", self.alias_path)]
-        if "consolidate" in stages:
-            if not any([self.floodlist, self.emdat, self.dfo]):
-                raise ConfigError("consolidate stage needs at least one source file")
-            files += [("floodlist", self.floodlist), ("emdat", self.emdat),
-                      ("dfo", self.dfo)]
-        if "extract" in stages:
-            files += [("gazetteer", self.gazetteer_path), ("kb", self.kb_path)]
-        for name, p in files:
-            if p is not None and not p.exists():
-                raise ConfigError(f"{name} file not found: {p}")
+            # Every file setting but the cache directory, which extract
+            # creates, names an input.
+            if (s.kind == "Path | None" and s.field != "cache_dir"
+                    and value is not None and not value.exists()):
+                raise ConfigError(f"{s.ini.partition('.')[2]} file not found: {value}")
+        if "consolidate" in stages and not any(getattr(self, source.value)
+                                               for source in Source):
+            raise ConfigError("consolidate stage needs at least one source file")
         if "scan" in stages:
-            if self.corpus is None or not self.corpus.exists():
+            if self.corpus is None:
                 raise ConfigError(f"corpus file not found: {self.corpus}")
             self.make_scorer()
         if "extract" in stages:
@@ -179,8 +197,7 @@ class PipelineConfig:
                 self.make_geocoder_client()  # refuses a proxied endpoint
             else:
                 raise ConfigError(f"unknown geocoder {self.geocoder!r}")
-        if "analyze" in stages and (self.indicators is None
-                                    or not self.indicators.exists()):
+        if "analyze" in stages and self.indicators is None:
             raise ConfigError(f"indicators file not found: {self.indicators}")
 
     def make_registry(self) -> CountryRegistry:
@@ -241,8 +258,6 @@ SETTINGS = (
     Setting("dfo", "inputs.dfo", "consolidate", "--dfo"),
     Setting("min_sources", "consolidate.min_sources", "consolidate", "--min-sources"),
     Setting("corpus", "inputs.corpus", "scan", "--input"),
-    Setting("corpus_format", "inputs.corpus_format", "scan", "--format",
-            ("jsonl", "xml")),
     Setting("threshold", "scan.threshold", "scan", "--threshold"),
     Setting("scorer", "scan.scorer", "scan", "--scorer"),
     Setting("keyword_substring", "scan.substring", "scan", "--substring"),
@@ -334,9 +349,8 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[l
     records = []
     rejects = []
     excluded = []
-    sources = [(Source.FLOODLIST, cfg.floodlist), (Source.EMDAT, cfg.emdat),
-               (Source.DFO, cfg.dfo)]
-    for source_id, path in sources:
+    for source_id in Source:
+        path = getattr(cfg, source_id.value)
         if path is None:
             continue
         try:
@@ -378,7 +392,7 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
     occurrences: dict[str, int] = {}  # article_id -> articles that carry it
     opener = _open_maybe_compressed
     with opener(cfg.corpus) as fh:
-        for article in ingest_articles(fh, cfg.corpus_format, article_rejects):
+        for article in ingest_articles(fh, sniff_format(fh), article_rejects):
             occurrences[article.article_id] = occurrences.get(article.article_id, 0) + 1
             candidates.extend(extract_candidates(article, cfg.keyword_substring))
     # Later stages join on (article_id, sentence_index), so a shared id would

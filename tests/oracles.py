@@ -37,7 +37,7 @@ from coverage_auditor.countries import CountryCode, normalize_name
 from coverage_auditor.dates import (_DATE_RE, _MODIFIER_DAY, DateMention,
                                     YearSource, _day_num, _month_num,
                                     _valid_year, distinct_years)
-from coverage_auditor.ground_truth import (_SCHEMAS, ConsolidatedEvent,
+from coverage_auditor.ground_truth import (SOURCES, ConsolidatedEvent,
                                            ParseResult, RejectedRow, Source,
                                            SourceRecord, _parse_count,
                                            _parse_date, _require)
@@ -103,7 +103,7 @@ def _oracle_parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult
     except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"unreadable {source_id.value} file: {exc}") from exc
 
-    expected = _SCHEMAS[source_id]
+    expected = SOURCES[source_id].header
     if header is None or [h.strip() for h in header] != expected:
         raise IOError(
             f"{source_id.value}: header {header} does not match schema {expected}")

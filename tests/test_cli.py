@@ -1,3 +1,4 @@
+import configparser
 import json
 import shutil
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from coverage_auditor.cli import main
+from coverage_auditor.pipeline import SETTINGS, STAGE_TABLE, STAGES
 from conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
+DATA = Path(__file__).resolve().parents[1] / "src" / "coverage_auditor" / "data"
 
 ARTIFACT_NAMES = ["events.jsonl", "candidates.jsonl", "resolved.jsonl",
                   "matches.jsonl", "analysis.json"]
@@ -97,28 +100,81 @@ def test_missing_indicators_fails_before_any_stage(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--gazetteer", "--kb"])
-def test_missing_extract_table_fails_before_any_stage(finished_run, capsys, flag):
-    before = (finished_run / "resolved.jsonl").read_bytes()
-    assert run_cli("extract", "--config", E2E / "config.ini", "--out", finished_run,
-                   flag, finished_run / "nope.tsv") == 2
-    assert "file not found" in capsys.readouterr().err
-    assert (finished_run / "resolved.jsonl").read_bytes() == before
+# The input files: every file setting but the cache directory, which
+# extract creates.
+INPUT_FILES = [s for s in SETTINGS if s.kind == "Path | None" and s.field != "cache_dir"]
 
 
-@pytest.mark.parametrize("key", ["registry", "aliases"])
-def test_missing_registry_file_fails_every_stage_that_reads_it(tmp_path, capsys, key):
+def _key(s):
+    return s.ini.partition(".")[2]
+
+
+def _set_ini(config, key, value):
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    section, option = key.split(".")
+    parser[section][option] = value
+    with open(config, "w") as fh:
+        parser.write(fh)
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("s", [s for s in INPUT_FILES if s.flag], ids=lambda s: s.flag)
+def test_missing_extract_table_fails_before_any_stage(finished_run, capsys, s):
+    """A stage's flag naming a missing input file: the finished run is left
+    as it was."""
+    before = _snapshot(finished_run)
+    assert run_cli(s.stage, "--config", E2E / "config.ini", "--out", finished_run,
+                   s.flag, finished_run / "nope.tsv") == 2
+    assert f"{_key(s)} file not found" in capsys.readouterr().err
+    assert _snapshot(finished_run) == before
+
+
+@pytest.mark.parametrize("s", INPUT_FILES, ids=_key)
+def test_missing_registry_file_fails_every_stage_that_reads_it(tmp_path, capsys, s):
+    """An INI key naming a missing input file fails each command that reads
+    it (the registry's files: each stage that reads the registry) before any
+    stage runs, and no other command."""
     inputs = tmp_path / "inputs"
     shutil.copytree(E2E, inputs)
     config = inputs / "config.ini"
-    config.write_text(config.read_text().replace("[inputs]\n",
-                                                 f"[inputs]\n{key} = nope.tsv\n"))
-    for command in ("run", "consolidate", "extract", "match", "analyze"):
+    _set_ini(config, s.ini, "nope.tsv")
+    key = _key(s)
+    readers = [s.stage] if s.stage else [
+        stage for stage in STAGES if "registry" in STAGE_TABLE[stage].reads]
+    for command in ["run", *readers]:
         out = tmp_path / command
         assert run_cli(command, "--config", config, "--out", out) == 2
         assert f"{key} file not found" in capsys.readouterr().err
         assert not out.exists()
-    assert run_cli("scan", "--config", config, "--out", tmp_path / "scan") == 0
+    other = next(stage for stage in STAGES if stage not in readers)
+    assert run_cli(other, "--config", config, "--out", tmp_path / other) == 0
+
+
+@pytest.mark.parametrize("key, table, edit, error", [
+    ("extract.kb", DATA / "kb.tsv", lambda t: t + "Kyushu\tJPN\n",
+     "stage extract failed: {path} line {n}: 2 tab-separated fields, expected 3"),
+    ("inputs.registry", DATA / "country_registry.tsv",
+     lambda t: t + "XKX\tKosovo\tEurope\n",
+     "stage consolidate failed: {path} line {n}: 3 tab-separated fields, expected 4"),
+    ("inputs.aliases", DATA / "country_aliases.tsv", lambda t: t + "Burma\tMMR\tAsia\n",
+     "stage consolidate failed: {path} line {n}: 3 tab-separated fields, expected 2"),
+    ("inputs.indicators", E2E / "indicators.csv", lambda t: t.replace(",english_pct", ""),
+     "stage analyze failed: indicators {path}: no english_pct column"),
+], ids=["kb", "registry", "aliases", "indicators"])
+def test_malformed_table_names_its_file(tmp_path, capsys, key, table, edit, error):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    path = inputs / table.name
+    text = edit(table.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    _set_ini(inputs / "config.ini", key, table.name)
+    assert run_cli("run", "--config", inputs / "config.ini", "--out", tmp_path / "run") == 4
+    assert capsys.readouterr().err == error.format(
+        path=path.resolve(), n=len(text.splitlines())) + "\n"
 
 
 @pytest.mark.parametrize("setting", ["max_inflight = 0", "max_inflight = -1",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverage_auditor.ground_truth import (_SCHEMAS, Source, SourceRecord,
+from coverage_auditor.ground_truth import (SOURCES, Source, SourceRecord,
                                            consolidate, filter_multi_source,
                                            impute_end_date,
                                            parse_source_records,
@@ -138,7 +138,7 @@ def field_value(draw, kind):
 def source_files(draw):
     source = draw(st.sampled_from(list(Source)))
     kinds = FIELD_KINDS[source]
-    rows = [_SCHEMAS[source]]
+    rows = [SOURCES[source].header]
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 5)) == 0:
             rows.append([])  # a blank line

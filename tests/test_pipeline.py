@@ -1,6 +1,8 @@
 """run_pipeline: in-process handoff between stages, resume, manifest counts
 and the per-geocoder cache file, on the hermetic e2e fixture."""
 
+import bz2
+import gzip
 import json
 import shutil
 from collections import Counter
@@ -18,6 +20,7 @@ from coverage_auditor.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineC
                                        run_pipeline)
 from coverage_auditor.places import GazetteerSpotter
 from conftest import FIXTURES
+from test_corpus import MEDIAWIKI_XML
 
 E2E = FIXTURES / "e2e"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -341,3 +344,20 @@ def test_shuffled_corpus_changes_no_artifact(unshuffled, tmp_path_factory, lines
     out = tmp_path_factory.mktemp("shuffled") / "run"
     _run_on_corpus(lines, out)
     assert _outputs(out) == unshuffled
+
+
+@pytest.mark.parametrize("name, pack, plain", [
+    ("dump.bz2", bz2.compress, MEDIAWIKI_XML.encode()),
+    ("dump.xml", lambda data: b"\xef\xbb\xbf" + data, MEDIAWIKI_XML.encode()),
+    ("corpus.jsonl.gz", gzip.compress, (E2E / "corpus.jsonl").read_bytes()),
+], ids=["xml-bz2", "xml-bom", "jsonl-gz"])
+def test_corpus_format_is_read_from_the_corpus(tmp_path, name, pack, plain):
+    """A dump however named, with a byte-order mark, or a gzipped JSONL
+    corpus scans as its plain, uncompressed form does."""
+    candidates = []
+    for corpus, data in ((tmp_path / "plain", plain), (tmp_path / name, pack(plain))):
+        corpus.write_bytes(data)
+        out = tmp_path / f"run-{corpus.name}"
+        run_pipeline(PipelineConfig(corpus=corpus), out, stages=["scan"])
+        candidates.append((out / ARTIFACTS["scan"]).read_bytes())
+    assert candidates[0] and candidates[1] == candidates[0]

@@ -3,6 +3,7 @@ INI reader, the stage flags, their overrides and the allowed-value checks;
 ``config_hash`` hashes the settings a run actually used."""
 
 import json
+import logging
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -22,7 +23,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 OPTIONS = {
     "consolidate": {"--config", "--dfo", "--emdat", "--floodlist", "--help",
                     "--min-sources", "--out", "-h"},
-    "scan": {"--config", "--format", "--help", "--input", "--out", "--scorer",
+    "scan": {"--config", "--help", "--input", "--out", "--scorer",
              "--substring", "--threshold", "-h"},
     "extract": {"--cache-dir", "--config", "--gazetteer", "--geocoder", "--help",
                 "--kb", "--max-inflight", "--min-delay-ms", "--out", "--refresh",
@@ -107,6 +108,21 @@ def test_replay_key_folds_into_the_replay_geocoder(tmp_path):
     assert PipelineConfig.from_ini(ini).geocoder == f"replay:{tmp_path / 'r.jsonl'}"
     ini.write_text("[extract]\ngeocoder = live\nreplay = r.jsonl\n")
     assert PipelineConfig.from_ini(ini).geocoder == "live"
+
+
+def test_unknown_ini_section_or_key_is_logged_and_ignored(tmp_path, caplog):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[DEFAULT]\nwindow_days = 9\nwindow = 9\n"
+                   "[match]\n[scan]\ntreshold = 0.95\n[extract]\nreplay = r.jsonl\n"
+                   "[scna]\nthreshold = 0.95\nscorer = builtin\n")
+    with caplog.at_level(logging.WARNING):
+        cfg = PipelineConfig.from_ini(ini)
+        PipelineConfig.from_ini(E2E / "config.ini")
+    assert (cfg.threshold, cfg.window_days) == (PipelineConfig().threshold, 9)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{ini}: unknown key DEFAULT.window ignored",
+        f"{ini}: unknown key scan.treshold ignored",
+        f"{ini}: unknown section [scna] ignored"]
 
 
 def test_absolute_ini_paths_are_kept(tmp_path):

@@ -41,7 +41,7 @@ def test_a_traced_xml_scan_records_ingest_and_markup_passes(tmp_path):
     proc = _traced(
         "from pathlib import Path\n"
         "from coverage_auditor import pipeline\n"
-        f"cfg = pipeline.PipelineConfig(corpus=Path({str(corpus)!r}), corpus_format='xml')\n"
+        f"cfg = pipeline.PipelineConfig(corpus=Path({str(corpus)!r}))\n"
         f"pipeline.stage_scan(cfg, Path({str(tmp_path)!r}), {{}})\n"
         "import collections, json\n"
         "print(json.dumps(collections.Counter(span[1] for span in t.spans)))\n")
