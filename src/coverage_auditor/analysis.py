@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import typing
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
@@ -16,6 +17,7 @@ from urllib.parse import urlsplit
 from .corpus import CandidateSentence
 from .countries import Continent
 from .ground_truth import ConsolidatedEvent
+from .rows import json_row
 
 UNKNOWN_BUCKET = "unknown"
 
@@ -31,6 +33,7 @@ class CountryIndicators:
     population: int | None
 
 
+@json_row()
 @dataclass
 class StratumReport:
     axis: str
@@ -39,39 +42,34 @@ class StratumReport:
     matched_count: int
     hit_rate_pct: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "bucket_label": self.bucket_label,
-            "ground_truth_count": self.ground_truth_count,
-            "matched_count": self.matched_count,
-            "hit_rate_pct": self.hit_rate_pct,
-        }
+
+# Each ``CountryIndicators`` field's CSV column and the type its text is read as.
+_COLUMNS = [({"gdp_per_capita_usd": "gdp_per_capita", "english_speaker_pct": "english_pct"}
+             .get(name, name), (typing.get_args(tp) or (tp,))[0])
+            for name, tp in typing.get_type_hints(CountryIndicators).items()]
 
 
 def load_indicators(path: Path) -> dict[str, CountryIndicators]:
-    """Read the indicators snapshot CSV keyed by iso3."""
-    def _float(v: str) -> float | None:
-        return float(v) if v.strip() else None
-
-    def _int(v: str) -> int | None:
-        return int(v) if v.strip() else None
-
+    """Read the indicators snapshot CSV keyed by iso3. A missing column, or a
+    missing or unparsable value, is a ValueError naming the file (line, column)."""
     indicators: dict[str, CountryIndicators] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                ind = CountryIndicators(
-                    iso3=row["iso3"].strip(),
-                    gdp_per_capita_usd=_float(row["gdp_per_capita"]),
-                    gni_group=row["gni_group"].strip() or None,
-                    vulnerability=_float(row["vulnerability"]),
-                    lack_of_coping=_float(row["lack_of_coping"]),
-                    english_speaker_pct=_float(row["english_pct"]),
-                    population=_int(row["population"]),
-                )
-            except KeyError as exc:
-                raise ValueError(f"indicators {path}: no {exc.args[0]} column") from None
+        reader = csv.DictReader(fh)
+        for column, _ in _COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"indicators {path}: no {column} column")
+        for row in reader:
+            values = []
+            for column, parse in _COLUMNS:
+                try:
+                    if row[column] is None:
+                        raise ValueError("missing")
+                    text = row[column].strip()
+                    values.append(parse(text) if text else None)
+                except ValueError as exc:
+                    raise ValueError(f"indicators {path} line {reader.line_num}: "
+                                     f"{column}: {exc}") from None
+            ind = CountryIndicators(*values)
             indicators[ind.iso3] = ind
     return indicators
 
@@ -209,9 +207,7 @@ def stratify(events: list[ConsolidatedEvent], matched_ids: set[str],
     for bucket in order:
         gt = gt_counts[bucket]
         hit = hit_counts.get(bucket, 0)
-        reports.append(StratumReport(
-            axis=axis, bucket_label=bucket, ground_truth_count=gt,
-            matched_count=hit, hit_rate_pct=compute_hit_rate_pct(gt, hit)))
+        reports.append(StratumReport(axis, bucket, gt, hit, compute_hit_rate_pct(gt, hit)))
     return reports
 
 

@@ -15,8 +15,9 @@ from pathlib import Path
 from . import __version__
 from .matching import evaluate
 from .pipeline import (ARTIFACTS, PARSERS, SETTINGS, STAGES, ConfigError,
-                       InputError, PipelineConfig, StageError, read_jsonl,
-                       run_pipeline)
+                       InputError, PipelineConfig, StageError, load_result,
+                       read_jsonl, run_pipeline)
+from .rows import RowError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,8 +79,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     events_path = out_dir / ARTIFACTS["consolidate"]
     report = None
     if matches_path.exists() and events_path.exists():
-        report = evaluate(_parsed(matches_path, read_jsonl), labels,
-                          len(_parsed(events_path, read_jsonl)))
+        matches = _parsed(matches_path, lambda p: load_result(out_dir, "match"))
+        report = evaluate(matches, labels, len(_parsed(events_path, read_jsonl)))
 
     print(f"coverage-auditor {version} run report")
     for line in stage_lines:
@@ -113,10 +114,12 @@ def _manifest_lines(manifest) -> tuple[str, list[str]]:
 
 
 def _parsed(path: Path, read):
-    """``read(path)``; a file that does not parse (JSON or UTF-8) is an
-    InputError naming it."""
+    """``read(path)``; a file that does not parse (JSON or UTF-8), or a row
+    that does not fit its row type, is an InputError naming the file."""
     try:
         return read(path)
+    except RowError as exc:  # names the file and the line
+        raise InputError(str(exc)) from exc
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

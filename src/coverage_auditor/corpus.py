@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from .dates import distinct_years
+from .rows import json_row
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +54,7 @@ class Article:
     citations: list[Citation] = field(default_factory=list)
 
 
+@json_row(encode={"relevance": "round({}, 6)"})
 @dataclass(slots=True)
 class CandidateSentence:
     article_id: str
@@ -64,33 +66,6 @@ class CandidateSentence:
     relevance: float = 0.0
     citations: list[str] = field(default_factory=list)
     paragraph_years: list[int] = field(default_factory=list)  # for year inference
-
-    def to_json_dict(self) -> dict:
-        return {
-            "article_id": self.article_id,
-            "title": self.title,
-            "paragraph_index": self.paragraph_index,
-            "sentence_index": self.sentence_index,
-            "text": self.text,
-            "via_title_rule": self.via_title_rule,
-            "relevance": round(self.relevance, 6),
-            "citations": self.citations,
-            "paragraph_years": self.paragraph_years,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CandidateSentence":
-        return cls(
-            article_id=d["article_id"],
-            title=d["title"],
-            paragraph_index=d["paragraph_index"],
-            sentence_index=d["sentence_index"],
-            text=d["text"],
-            via_title_rule=d["via_title_rule"],
-            relevance=d.get("relevance", 0.0),
-            citations=list(d.get("citations", [])),
-            paragraph_years=d["paragraph_years"],
-        )
 
 
 @dataclass(slots=True)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection
 
+from .rows import json_row
+
 YEAR_MIN, YEAR_MAX = 1900, 2100
 
 
@@ -23,6 +25,7 @@ class YearSource(str, Enum):
     UNRESOLVED = "UNRESOLVED"
 
 
+@json_row()
 @dataclass(frozen=True, slots=True)
 class DateMention:
     raw_span: str
@@ -35,15 +38,6 @@ class DateMention:
     def is_matchable(self) -> bool:
         """Year-month matching needs both; a bare year never matches."""
         return self.month is not None and self.year is not None
-
-    def to_json_dict(self) -> dict:
-        return {"raw_span": self.raw_span, "day": self.day, "month": self.month,
-                "year": self.year, "year_source": self.year_source.value}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DateMention":
-        return cls(raw_span=d["raw_span"], day=d.get("day"), month=d.get("month"),
-                   year=d.get("year"), year_source=YearSource(d["year_source"]))
 
 
 _MONTHS = {

@@ -22,6 +22,7 @@ from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .countries import CountryCode, CountryRegistry
+from .rows import json_row
 
 IMPUTED_DURATION_DAYS = 3  # median flood duration; fills missing end dates
 
@@ -60,6 +61,7 @@ class ParseResult:
     excluded: list[RejectedRow]  # rows dropped by source-specific filters
 
 
+@json_row(encode={"native_ids": "[list(pair) for pair in {}]"})
 @dataclass(slots=True)
 class ConsolidatedEvent:
     event_id: str
@@ -78,39 +80,6 @@ class ConsolidatedEvent:
     @property
     def source_count(self) -> int:
         return sum([self.in_emdat, self.in_dartmouth, self.in_floodlist])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "event_id": self.event_id,
-            "country": self.country.iso3,
-            "start_date": self.start_date.isoformat(),
-            "end_date": self.end_date.isoformat(),
-            "fatalities": self.fatalities,
-            "affected": self.affected,
-            "locations_by_source": self.locations_by_source,
-            "native_ids": [list(pair) for pair in self.native_ids],
-            "disaster_type": self.disaster_type,
-            "in_emdat": self.in_emdat,
-            "in_dartmouth": self.in_dartmouth,
-            "in_floodlist": self.in_floodlist,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, registry: CountryRegistry) -> "ConsolidatedEvent":
-        return cls(
-            event_id=d["event_id"],
-            country=registry.get(d["country"]),
-            start_date=date.fromisoformat(d["start_date"]),
-            end_date=date.fromisoformat(d["end_date"]),
-            fatalities=d.get("fatalities"),
-            affected=d.get("affected"),
-            locations_by_source={k: list(v) for k, v in d["locations_by_source"].items()},
-            native_ids=[tuple(pair) for pair in d["native_ids"]],
-            disaster_type=d["disaster_type"],
-            in_emdat=d["in_emdat"],
-            in_dartmouth=d["in_dartmouth"],
-            in_floodlist=d["in_floodlist"],
-        )
 
 
 # --- parsing ---------------------------------------------------------------
@@ -411,18 +380,9 @@ def _build_event(members: list[SourceRecord]) -> ConsolidatedEvent:
         disaster_types.add(rec.disaster_type)
         flags[_FLAGS[rec.source_id]] = True
 
-    return ConsolidatedEvent(
-        event_id=f"{country.iso3}-{start.isoformat()}",
-        country=country,
-        start_date=start,
-        end_date=end,
-        fatalities=fatalities,
-        affected=affected,
-        locations_by_source=locations_by_source,
-        native_ids=native_ids,
-        disaster_type=", ".join(sorted(disaster_types)),
-        **flags,
-    )
+    return ConsolidatedEvent(f"{country.iso3}-{start.isoformat()}", country, start, end,
+                             fatalities, affected, locations_by_source, native_ids,
+                             ", ".join(sorted(disaster_types)), **flags)
 
 
 def filter_multi_source(events: list[ConsolidatedEvent],

@@ -20,10 +20,10 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable
 
-from .countries import CountryCode
 from .dates import DateMention
 from .ground_truth import ConsolidatedEvent
 from .places import ResolvedCandidate
+from .rows import json_row
 
 DEFAULT_WINDOW_DAYS = 5
 
@@ -33,28 +33,24 @@ class Strategy(str, Enum):
     YM = "ym"
 
 
+@json_row()
 @dataclass(slots=True)
 class MatchResult:
+    """A ``matches.jsonl`` row: an event, and the resolved candidate row it matched."""
     event_id: str
-    candidate: ResolvedCandidate
+    article_id: str
+    sentence_index: int
     strategy: Strategy
-    matched_date: DateMention
-    matched_country: CountryCode
+    matched_date: str  # YYYY-MM-DD, or YYYY-MM for a day-less date
+    iso3: str
 
-    def to_json_dict(self) -> dict:
-        d = self.matched_date
-        if d.day is not None:
-            date_str = f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
-        else:
-            date_str = f"{d.year:04d}-{d.month:02d}"
-        return {
-            "event_id": self.event_id,
-            "article_id": self.candidate.article_id,
-            "sentence_index": self.candidate.sentence_index,
-            "strategy": self.strategy.value,
-            "matched_date": date_str,
-            "iso3": self.matched_country.iso3,
-        }
+    @classmethod
+    def from_candidate(cls, event_id: str, candidate: ResolvedCandidate,
+                       strategy: Strategy) -> "MatchResult":
+        d = candidate.date
+        day = "" if d.day is None else f"-{d.day:02d}"
+        return cls(event_id, candidate.article_id, candidate.sentence_index, strategy,
+                   f"{d.year:04d}-{d.month:02d}{day}", candidate.country.iso3)
 
 
 @dataclass
@@ -124,8 +120,8 @@ def match_ymd(candidate: ResolvedCandidate, events: EventIndex,
     for event in events.reaching(candidate.country.iso3,
                                  lo.toordinal() - window_days, hi.toordinal()):
         if (lo - event.end_date).days <= window_days and hi >= event.start_date:
-            matches.append(MatchResult(event.event_id, candidate, Strategy.YMD,
-                                       candidate.date, candidate.country))
+            matches.append(MatchResult.from_candidate(event.event_id, candidate,
+                                                      Strategy.YMD))
     return matches
 
 
@@ -138,8 +134,8 @@ def match_ym(candidate: ResolvedCandidate, events: EventIndex) -> list[MatchResu
     for event in events.reaching(candidate.country.iso3,
                                  month_lo.toordinal(), month_hi.toordinal()):
         if month_lo <= event.end_date and month_hi >= event.start_date:
-            matches.append(MatchResult(event.event_id, candidate, Strategy.YM,
-                                       candidate.date, candidate.country))
+            matches.append(MatchResult.from_candidate(event.event_id, candidate,
+                                                      Strategy.YM))
     return matches
 
 
@@ -155,19 +151,19 @@ def match_all(candidates: Iterable[ResolvedCandidate], events: EventIndex,
     return matches
 
 
-def evaluate(match_rows: list[dict],
+def evaluate(matches: list[MatchResult],
              labeled_sample: dict[tuple[str, int], bool],
              ground_truth_total: int) -> EvalReport:
     """Precision over labeled matched candidates, recall over events.
 
-    ``match_rows`` are ``matches.jsonl`` rows. ``labeled_sample`` maps
-    (article_id, sentence_index) to a human relevance judgement; matched
-    candidates missing from the sample count as irrelevant.
+    ``labeled_sample`` maps (article_id, sentence_index) to a human
+    relevance judgement; matched candidates missing from the sample count
+    as irrelevant.
     """
-    candidate_keys = {(m["article_id"], m["sentence_index"]) for m in match_rows}
+    candidate_keys = {(m.article_id, m.sentence_index) for m in matches}
     matched_candidates = len(candidate_keys)
     relevant = sum(1 for key in candidate_keys if labeled_sample.get(key, False))
-    hits = len({m["event_id"] for m in match_rows})
+    hits = len({m.event_id for m in matches})
     return EvalReport(
         precision=(relevant / matched_candidates) if matched_candidates else None,
         recall=(hits / ground_truth_total) if ground_truth_total else 0.0,

@@ -1,8 +1,8 @@
 """End-to-end pipeline: consolidate -> scan -> extract -> match -> analyze.
 
 ``STAGE_TABLE`` gives each stage one row: the artifact it writes, what it
-reads (the country registry and upstream stages) and how a row of its
-artifact decodes back into the result it hands on. Every stage persists its
+reads (the country registry and upstream stages) and the row type (see
+``rows``) its artifact's rows decode back into. Every stage persists its
 output in the run directory, so a run can resume from intermediates: stages
 whose artifact already exists are skipped. Within one process the driver
 hands each stage's result to the stages after it, so an artifact is decoded
@@ -14,6 +14,7 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import json
 import logging
@@ -21,11 +22,13 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
-from .analysis import AXES, extract_reference_domains, load_indicators, stratify
+from .analysis import (AXES, StratumReport, extract_reference_domains,
+                       load_indicators, stratify)
 from .corpus import (ArticleReject, CandidateSentence, builtin_scorer,
                      constant_scorer, extract_candidates, filter_by_relevance,
                      ingest_articles, sniff_format)
@@ -37,9 +40,10 @@ from .ground_truth import (ConsolidatedEvent, Source, consolidate,
                            filter_multi_source, impute_end_dates,
                            parse_source_records, resolve_countries,
                            venn_counts)
-from .matching import EventIndex, Strategy, match_all
+from .matching import EventIndex, MatchResult, Strategy, match_all
 from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
                      expand_candidates, extract_placenames)
+from .rows import RowError
 
 CACHE_DIR_ENV = "COVAUD_CACHE_DIR"
 
@@ -48,22 +52,18 @@ log = logging.getLogger(__name__)
 
 class Stage(NamedTuple):
     """A stage's artifact; what it reads, ``"registry"`` and upstream stage
-    names, loaded in this order; and ``decode(row, registry)``, which turns
-    an artifact row back into an item of the result the stage hands on
-    (None: the row itself)."""
+    names, loaded in this order; and the row type of its result (None: unread)."""
     artifact: str
     reads: tuple[str, ...]
-    decode: Callable | None
+    decode: type | None
 
 
 # The stages in run order.
 STAGE_TABLE = {
-    "consolidate": Stage("events.jsonl", ("registry",), ConsolidatedEvent.from_json_dict),
-    "scan": Stage("candidates.jsonl", (),
-                  lambda row, registry: CandidateSentence.from_json_dict(row)),
-    "extract": Stage("resolved.jsonl", ("registry", "scan"),
-                     ResolvedCandidate.from_json_dict),
-    "match": Stage("matches.jsonl", ("registry", "consolidate", "extract"), None),
+    "consolidate": Stage("events.jsonl", ("registry",), ConsolidatedEvent),
+    "scan": Stage("candidates.jsonl", (), CandidateSentence),
+    "extract": Stage("resolved.jsonl", ("registry", "scan"), ResolvedCandidate),
+    "match": Stage("matches.jsonl", ("registry", "consolidate", "extract"), MatchResult),
     "analyze": Stage("analysis.json", ("registry", "consolidate", "match", "scan"), None),
 }
 STAGES = list(STAGE_TABLE)
@@ -359,10 +359,9 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[l
         except IOError as exc:
             raise InputError(str(exc)) from exc
         records.extend(result.records)
-        rejects.extend({"source": source_id.value, "line": r.line_no,
-                        "reason": r.reason} for r in result.rejects)
-        excluded.extend({"source": source_id.value, "line": r.line_no,
-                         "reason": r.reason} for r in result.excluded)
+        for into, rows in ((rejects, result.rejects), (excluded, result.excluded)):
+            into.extend({"source": source_id.value, "line": r.line_no,
+                         "reason": r.reason} for r in rows)
 
     dated, undatable = impute_end_dates(records)
     resolved, unresolved = resolve_countries(dated, registry)
@@ -494,21 +493,20 @@ def _env_cache_dir() -> Path | None:
 def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, dict]:
     index = EventIndex(held["consolidate"])
     strategy = Strategy(cfg.strategy)
-    matches = match_all(held["extract"], index, strategy, cfg.window_days)
-    rows = sorted((m.to_json_dict() for m in matches),
-                  key=lambda d: (d["event_id"], d["article_id"],
-                                 d["sentence_index"], d["matched_date"]))
-    write_jsonl(out_dir / ARTIFACTS["match"], rows)
-    return rows, {
-        "matches": len(rows),
-        "events_matched": len({r["event_id"] for r in rows}),
+    matches = sorted(match_all(held["extract"], index, strategy, cfg.window_days),
+                     key=attrgetter("event_id", "article_id", "sentence_index",
+                                    "matched_date"))
+    write_jsonl(out_dir / ARTIFACTS["match"], (m.to_json_dict() for m in matches))
+    return matches, {
+        "matches": len(matches),
+        "events_matched": len({m.event_id for m in matches}),
     }
 
 
 def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[dict, dict]:
-    events, match_rows = held["consolidate"], held["match"]
+    events, matches = held["consolidate"], held["match"]
     indicators = load_indicators(cfg.indicators)
-    matched_ids = {r["event_id"] for r in match_rows}
+    matched_ids = {m.event_id for m in matches}
 
     axes_out: dict[str, list[dict]] = {}
     for axis in cfg.axes:
@@ -516,9 +514,12 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[dict,
                            min_country_events=cfg.min_country_events,
                            fatalities_unknown=cfg.fatalities_unknown)
         axes_out[axis] = [r.to_json_dict() for r in reports]
-        _write_axis_csv(out_dir / f"analysis_{axis}.csv", axes_out[axis])
+        with _replacing(out_dir / f"analysis_{axis}.csv", newline="") as fh:
+            writer = csv.writer(fh)  # None is an empty cell
+            writer.writerow(StratumReport.json_keys)
+            writer.writerows(row.values() for row in axes_out[axis])
 
-    matched_keys = {(r["article_id"], r["sentence_index"]) for r in match_rows}
+    matched_keys = {(m.article_id, m.sentence_index) for m in matches}
     matched_candidates = [c for c in held["scan"]
                           if (c.article_id, c.sentence_index) in matched_keys]
     domains, skipped = extract_reference_domains(matched_candidates,
@@ -535,30 +536,19 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[dict,
     return analysis, {"axes": len(axes_out), "domains": len(domains)}
 
 
-def _write_axis_csv(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    with _replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "bucket_label", "ground_truth_count",
-                         "matched_count", "hit_rate_pct"])
-        for row in rows:
-            writer.writerow([row["axis"], row["bucket_label"],
-                             row["ground_truth_count"], row["matched_count"],
-                             "" if row["hit_rate_pct"] is None else row["hit_rate_pct"]])
-
-
 # --- driver --------------------------------------------------------------
 
-def _load(cfg: PipelineConfig, out_dir: Path, name: str,
-          registry: CountryRegistry | None):
-    """What a stage reads under ``name``: the country registry, or that
-    upstream stage's result decoded from its artifact."""
-    if name == "registry":
-        return cfg.make_registry()
-    artifact, _, decode = STAGE_TABLE[name]
-    rows = read_jsonl(out_dir / artifact)
-    return rows if decode is None else [decode(row, registry) for row in rows]
+def load_result(out_dir: Path, name: str, registry: CountryRegistry | None = None) -> list:
+    """Stage ``name``'s result, decoded from its artifact. A bad row is a RowError
+    ``<artifact> line N: <field>: <problem>``, N counting non-blank lines."""
+    artifact, _, row_type = STAGE_TABLE[name]
+    rows = []
+    for n, row in enumerate(read_jsonl(out_dir / artifact), start=1):
+        try:
+            rows.append(row_type.from_json_dict(row, registry))
+        except RowError as exc:
+            raise RowError(f"{artifact} line {n}: {exc}") from None
+    return rows
 
 
 _STAGE_FUNCS = {
@@ -614,31 +604,28 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
         # Drop each result once the last stage of this run that reads it is done.
         wanted = {name for later in todo[i:] for name in STAGE_TABLE[later].reads}
         held = {name: value for name, value in held.items() if name in wanted}
+        entry = {"name": stage, "status": "skipped", "seconds": 0.0, "counts": {}}
+        manifest["stages"].append(entry)
         if resume and (out_dir / ARTIFACTS[stage]).exists():
-            manifest["stages"].append({"name": stage, "status": "skipped",
-                                       "seconds": 0.0, "counts": {}})
             continue
         started = time.perf_counter()
         try:
             reads = STAGE_TABLE[stage].reads
             for name in reads:
                 if name not in held:
-                    held[name] = _load(cfg, out_dir, name, held.get("registry"))
-            held[stage], counts = _STAGE_FUNCS[stage](
+                    held[name] = (cfg.make_registry() if name == "registry"
+                                  else load_result(out_dir, name, held.get("registry")))
+            held[stage], entry["counts"] = _STAGE_FUNCS[stage](
                 cfg, out_dir, {name: held[name] for name in reads})
+            entry["status"] = "ran"
         except (ConfigError, InputError):
             raise
         except Exception as exc:
             failure = StageError(stage, exc)
-            manifest["stages"].append({
-                "name": stage, "status": "failed",
-                "seconds": round(time.perf_counter() - started, 3),
-                "error": str(exc), "counts": {}})
+            entry.update(status="failed", error=str(exc))
+        entry["seconds"] = round(time.perf_counter() - started, 3)
+        if failure is not None:
             break
-        manifest["stages"].append({
-            "name": stage, "status": "ran",
-            "seconds": round(time.perf_counter() - started, 3),
-            "counts": counts})
 
     with _replacing(out_dir / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 from .countries import CountryCode, CountryRegistry
 from .corpus import CandidateSentence
 from .dates import DateMention
+from .rows import json_row
 
 
 class ResolverStage(str, Enum):
@@ -36,33 +37,17 @@ class PlaceMention:
     resolver_stage: ResolverStage = ResolverStage.UNRESOLVED
 
 
+@json_row(keys={"country": "iso3"})
 @dataclass(slots=True)
 class ResolvedCandidate:
-    """One (country, date) reading of a candidate sentence, keyed by the
-    candidate's (article_id, sentence_index)."""
+    """One (country, date) reading of a candidate sentence, keyed by its
+    (article_id, sentence_index); the first span naming country, and its stage."""
     article_id: str
     sentence_index: int
     country: CountryCode
     date: DateMention
-    place: PlaceMention  # provenance: the first span resolving to country
-
-    def to_json_dict(self) -> dict:
-        return {
-            "article_id": self.article_id,
-            "sentence_index": self.sentence_index,
-            "iso3": self.country.iso3,
-            "date": self.date.to_json_dict(),
-            "place_span": self.place.raw_span,
-            "place_stage": self.place.resolver_stage.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, registry: CountryRegistry) -> "ResolvedCandidate":
-        country = registry.get(d["iso3"])
-        return cls(d["article_id"], d["sentence_index"], country,
-                   DateMention.from_json_dict(d["date"]),
-                   PlaceMention(d["place_span"], country,
-                                ResolverStage(d["place_stage"])))
+    place_span: str
+    place_stage: ResolverStage
 
 
 # extractor: text -> place-name spans in positional order
@@ -205,7 +190,7 @@ def expand_candidates(candidate: CandidateSentence,
     for iso3 in sorted(countries):
         country, place = countries[iso3]
         for mention in usable_dates:
-            expanded.append(ResolvedCandidate(candidate.article_id,
-                                              candidate.sentence_index,
-                                              country, mention, place))
+            expanded.append(ResolvedCandidate(
+                candidate.article_id, candidate.sentence_index, country, mention,
+                place.raw_span, place.resolver_stage))
     return expanded

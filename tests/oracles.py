@@ -413,8 +413,8 @@ def oracle_match_ymd(candidate: ResolvedCandidate, events: list[ConsolidatedEven
     for event in _country_events(events, candidate.country.iso3):
         window_end = event.end_date + timedelta(days=window_days)
         if lo <= window_end and hi >= event.start_date:
-            matches.append(MatchResult(event.event_id, candidate, Strategy.YMD,
-                                       candidate.date, candidate.country))
+            matches.append(MatchResult.from_candidate(event.event_id, candidate,
+                                                      Strategy.YMD))
     return matches
 
 
@@ -427,6 +427,6 @@ def oracle_match_ym(candidate: ResolvedCandidate,
     matches = []
     for event in _country_events(events, candidate.country.iso3):
         if month_lo <= event.end_date and month_hi >= event.start_date:
-            matches.append(MatchResult(event.event_id, candidate, Strategy.YM,
-                                       candidate.date, candidate.country))
+            matches.append(MatchResult.from_candidate(event.event_id, candidate,
+                                                      Strategy.YM))
     return matches

@@ -121,7 +121,7 @@ def _eval_case(registry, n_events, n_candidates, n_relevant):
              for i, d in enumerate(starts)]
     labels = {("a1", i): i < n_relevant for i in range(n_candidates)}
     matches = match_all(cands, index, Strategy.YMD, window_days=0)
-    return evaluate([m.to_json_dict() for m in matches], labels, len(events))
+    return evaluate(matches, labels, len(events))
 
 
 def test_ac4_precision_recall(registry):

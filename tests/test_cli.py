@@ -1,5 +1,6 @@
 import configparser
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -164,7 +165,14 @@ def test_missing_registry_file_fails_every_stage_that_reads_it(tmp_path, capsys,
      "stage consolidate failed: {path} line {n}: 3 tab-separated fields, expected 2"),
     ("inputs.indicators", E2E / "indicators.csv", lambda t: t.replace(",english_pct", ""),
      "stage analyze failed: indicators {path}: no english_pct column"),
-], ids=["kb", "registry", "aliases", "indicators"])
+    ("inputs.indicators", E2E / "indicators.csv", lambda t: t + "USA,65280,High income,2.2\n",
+     "stage analyze failed: indicators {path} line {n}: lack_of_coping: missing"),
+    ("inputs.indicators", E2E / "indicators.csv",
+     lambda t: t + "XKX,abc,Upper middle income,2.0,2.0,5,1800000,Europe\n",
+     "stage analyze failed: indicators {path} line {n}: gdp_per_capita: "
+     "could not convert string to float: 'abc'"),
+], ids=["kb", "registry", "aliases", "indicators", "indicators short row",
+        "indicators non-number"])
 def test_malformed_table_names_its_file(tmp_path, capsys, key, table, edit, error):
     inputs = tmp_path / "inputs"
     shutil.copytree(E2E, inputs)
@@ -230,6 +238,44 @@ def test_candidates_without_paragraph_years_fail_extract(finished_run):
                    "--out", finished_run) == 4
 
 
+def _edit_row(path, n, edit):
+    """Apply ``edit`` to the JSON object on line ``n`` of a JSONL file."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[n - 1])
+    edit(row)
+    lines[n - 1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("artifact, reader, edit, error", [
+    ("candidates.jsonl", "extract", lambda row: row.pop("title"), "title: missing"),
+    ("candidates.jsonl", "extract", lambda row: row.update(colour="red"),
+     "colour: unexpected key"),
+    ("resolved.jsonl", "match", lambda row: row.update(sentence_index="x"),
+     "sentence_index: expected integer, got string"),
+    ("resolved.jsonl", "match", lambda row: row.update(sentence_index=True),
+     "sentence_index: expected integer, got boolean"),
+    ("resolved.jsonl", "match", lambda row: row.update(place_stage="NOPE"),
+     "place_stage: 'NOPE' is not a valid ResolverStage"),
+    ("resolved.jsonl", "match", lambda row: row["date"].update(year_source="SOON"),
+     "date.year_source: 'SOON' is not a valid YearSource"),
+    ("events.jsonl", "analyze", lambda row: row.update(fatalities="many"),
+     "fatalities: expected integer or null, got string"),
+    ("events.jsonl", "match", lambda row: row.update(country="XXX"),
+     "country: unknown country 'XXX'"),
+], ids=["missing key", "extra key", "string for int", "bool for int", "unknown enum value",
+        "nested field", "string for int or null", "unknown country"])
+def test_bad_artifact_row_names_its_artifact_line_and_field(finished_run, capsys, artifact,
+                                                            reader, edit, error):
+    """A single stage, and a resumed run, fail on the row in one line."""
+    _edit_row(finished_run / artifact, 2, edit)
+    capsys.readouterr()
+    for command in (reader, "run"):
+        (finished_run / STAGE_TABLE[reader].artifact).unlink(missing_ok=True)
+        assert run_cli(command, "--config", E2E / "config.ini", "--out", finished_run) == 4
+        assert capsys.readouterr().err == f"stage {reader} failed: {artifact} line 2: {error}\n"
+
+
 def test_report_summarizes_run(finished_run, capsys):
     capsys.readouterr()
     assert run_cli("report", "--out", finished_run,
@@ -258,7 +304,8 @@ def test_report_with_bad_labels_fails_in_one_line(finished_run, tmp_path, capsys
     ("manifest.json", lambda text: '{"stages": ['),
     ("matches.jsonl", lambda text: text[:-20]),
     ("events.jsonl", lambda text: text + '{"event_id": '),
-], ids=["manifest", "truncated matches", "truncated events"])
+    ("matches.jsonl", lambda text: re.sub(r'"event_id":"[^"]*",', "", text, count=1)),
+], ids=["manifest", "truncated matches", "truncated events", "match row without event_id"])
 def test_report_on_a_corrupt_run_fails_in_one_line(finished_run, capsys, name, damage):
     path = finished_run / name
     path.write_text(damage(path.read_text()))

@@ -10,7 +10,7 @@ from coverage_auditor.dates import DateMention, YearSource
 from coverage_auditor.ground_truth import ConsolidatedEvent
 from coverage_auditor.matching import (EventIndex, Strategy, evaluate,
                                        match_all, match_ym, match_ymd)
-from coverage_auditor.places import PlaceMention, ResolvedCandidate
+from coverage_auditor.places import ResolvedCandidate, ResolverStage
 from oracles import oracle_match_ym, oracle_match_ymd
 
 
@@ -36,7 +36,7 @@ def make_candidate(registry, iso3, year, month, day=None,
     mention = DateMention("span", day=day, month=month, year=year,
                           year_source=YearSource.EXPLICIT)
     return ResolvedCandidate(article_id, sentence_index, registry.get(iso3),
-                             mention, PlaceMention("P", registry.get(iso3)))
+                             mention, "P", ResolverStage.UNRESOLVED)
 
 
 # --- YMD ----------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_evaluate_counts(registry):
              for i in range(3)]
     matches = match_all(cands, index, Strategy.YMD, window_days=0)
     labels = {("a1", 0): True, ("a1", 1): False}  # a1#2 unlabeled -> irrelevant
-    report = evaluate([m.to_json_dict() for m in matches], labels, len(events))
+    report = evaluate(matches, labels, len(events))
     assert report.matched_candidates == 3
     assert report.relevant_matched == 1
     assert report.precision == pytest.approx(1 / 3)
@@ -220,6 +220,6 @@ def test_evaluate_recall_is_share_of_events_hit(registry):
     index = EventIndex(events)
     cand = make_candidate(registry, "IND", 2018, 6, 1)
     matches = match_all([cand], index, Strategy.YMD, window_days=0)
-    report = evaluate([m.to_json_dict() for m in matches], {}, len(events))
+    report = evaluate(matches, {}, len(events))
     assert report.hits == 1
     assert report.recall == pytest.approx(0.25)

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from coverage_auditor import pipeline
 from coverage_auditor.cli import main
+from coverage_auditor.analysis import StratumReport
 from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.countries import CountryRegistry
+from coverage_auditor.dates import DateMention
 from coverage_auditor.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineConfig,
                                        run_pipeline)
 from coverage_auditor.places import GazetteerSpotter
@@ -218,6 +220,15 @@ def test_readme_stage_table_follows_the_stage_table():
         for name in reads:
             if name != "registry":
                 assert Path(ARTIFACTS[name]).stem in inputs, (stage, name)
+
+
+def test_readme_lists_the_keys_of_every_row_type():
+    cells = [line.split(" | ") for line in README.read_text().splitlines()]
+    listed = {row[1]: row[2].removesuffix(" |") for row in cells if len(row) == 3}
+    row_types = [stage.decode for stage in STAGE_TABLE.values() if stage.decode]
+    for row_type in row_types + [DateMention, StratumReport]:
+        name = f"`{row_type.__module__.rpartition('.')[2]}.{row_type.__name__}`"
+        assert listed[name] == ", ".join(f"`{key}`" for key in row_type.json_keys), name
 
 
 def test_extract_finds_dates_and_places_once_per_title(monkeypatch, tmp_path):

@@ -124,7 +124,7 @@ def test_expand_dedupes_countries_and_dates(registry):
     places = [place("PAK", registry, "KPK"), place("PAK", registry, "Balochistan")]
     rows = expand_candidates(make_candidate(), dates, places)
     assert len(rows) == 1
-    assert rows[0].place.raw_span == "KPK"  # first mention carries provenance
+    assert rows[0].place_span == "KPK"  # first mention carries provenance
     assert ResolvedCandidate.from_json_dict(rows[0].to_json_dict(), registry) == rows[0]
 
 
