@@ -85,13 +85,12 @@ def sniff_format(stream: BinaryIO) -> str:
 
 
 def ingest_articles(stream: BinaryIO | TextIO, format: str,
-                    rejects: list[ArticleReject] | None = None) -> Iterator[Article]:
+                    rejects: list[ArticleReject]) -> Iterator[Article]:
     """Stream articles from a JSONL file or MediaWiki XML dump.
 
-    Malformed entries are appended to ``rejects`` (when given) and the
-    stream continues. Every main-namespace page of a dump is yielded, but a
-    page that ``extract_candidates`` would skip whole comes with no
-    paragraphs and no citations.
+    Malformed entries are appended to ``rejects`` and the stream goes on.
+    Every main-namespace page of a dump is yielded, but a page that
+    ``extract_candidates`` would skip whole has no paragraphs or citations.
     """
     if format == "jsonl":
         yield from _ingest_jsonl(stream, rejects)
@@ -120,8 +119,7 @@ def _ingest_jsonl(stream, rejects) -> Iterator[Article]:
             if not article.title:
                 raise ValueError("empty title")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if rejects is not None:
-                rejects.append(ArticleReject(f"line {line_no}", str(exc)))
+            rejects.append(ArticleReject(f"line {line_no}", str(exc)))
             continue
         yield article
 
@@ -162,8 +160,7 @@ def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
                 citations=citations,
             )
         except ValueError as exc:
-            if rejects is not None:
-                rejects.append(ArticleReject(title or "<unnamed page>", str(exc)))
+            rejects.append(ArticleReject(title or "<unnamed page>", str(exc)))
 
 
 # --- wikitext stripping -----------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Protocol
 from .countries import (CountryCode, CountryRegistry, _default_data_path,
                         _read_tsv, default_registry, normalize_name)
 from .places import PhraseMatcher, PlaceMention, ResolverStage
+from .rows import read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -94,17 +95,12 @@ class ReplayGeocoderClient:
     max_inflight = 1
 
     def __init__(self, path: Path):
-        data = Path(path).read_bytes()
-        self.identity = "replay:" + hashlib.sha256(data).hexdigest()
-        self._responses: dict[str, list[GeocoderResult]] = {}
-        for line in data.splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                self._responses[normalize_name(obj["query"])] = [
-                    GeocoderResult(r["display_name"], r.get("iso3"),
-                                   float(r.get("importance", 0.0)))
-                    for r in obj["results"]
-                ]
+        self.identity = "replay:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        self._responses: dict[str, list[GeocoderResult]] = dict(read_jsonl(
+            path, lambda obj: (normalize_name(obj["query"]), [
+                GeocoderResult(r["display_name"], r.get("iso3"),
+                               float(r.get("importance", 0.0)))
+                for r in obj["results"]])))
 
     def geocode(self, query: str) -> list[GeocoderResult]:
         return self._responses.get(normalize_name(query), [])
@@ -265,12 +261,9 @@ class GeoCache:
             if end < len(data):  # a run killed mid-append: cut its torn row off
                 log.warning("geocache %s: dropping torn last line %r", path, data[end:])
                 os.truncate(path, end)
-            for line in data[:end].splitlines():
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if obj["stage"] == self._STAGE:
-                    self._answers[obj["query"]] = obj["result"]
+            rows = read_jsonl(path, lambda obj: (obj["stage"], obj["query"], obj["result"]))
+            self._answers = {query: iso3 for stage, query, iso3 in rows
+                             if stage == self._STAGE}
 
     def get(self, placename: str, default=None):
         """The cached iso3 or None, or ``default`` for an uncached name."""
@@ -308,13 +301,12 @@ class CascadeResolver:
 
     def __init__(self, kb: KnowledgeBase, client: GeocoderClient,
                  registry: CountryRegistry, cache: GeoCache | None = None,
-                 inferencer: CountryInferencer | None = None,
                  refresh: bool = False):
         self.kb = kb
         self.client = client
         self.registry = registry
         self.cache = cache or GeoCache()
-        self.inferencer = inferencer or AliasScanInferencer(registry)
+        self.inferencer = AliasScanInferencer(registry)
         self.refresh = refresh
         self.failures = 0
         self._lock = threading.Lock()

@@ -21,7 +21,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +43,7 @@ from .ground_truth import (ConsolidatedEvent, Source, consolidate,
 from .matching import EventIndex, MatchResult, Strategy, match_all
 from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
                      expand_candidates, extract_placenames)
-from .rows import RowError
+from .rows import read_jsonl
 
 CACHE_DIR_ENV = "COVAUD_CACHE_DIR"
 
@@ -85,32 +85,46 @@ class StageError(Exception):
         self.cause = cause
 
 
+def _setting(default, ini: str | None, stage: str | None, flag: str | None = None,
+             choices: tuple[str, ...] = ()):
+    """A ``PipelineConfig`` field that declares its ``SETTINGS`` row (see
+    ``Setting``); a list default is copied for each config."""
+    row = {"setting": (ini, stage, flag, choices)}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=row)
+    return field(default=default, metadata=row)
+
+
 @dataclass
 class PipelineConfig:
-    floodlist: Path | None = None
-    emdat: Path | None = None
-    dfo: Path | None = None
-    corpus: Path | None = None
-    indicators: Path | None = None
-    registry_path: Path | None = None
-    alias_path: Path | None = None
-    gazetteer_path: Path | None = None
-    kb_path: Path | None = None
-    min_sources: int = 2
-    threshold: float = 0.40
-    scorer: str = "builtin"
-    keyword_substring: bool = False
-    geocoder: str = "replay:"  # "live" or "replay:<path>"
-    max_inflight: int = 2
-    min_delay_ms: int = 1000
-    cache_dir: Path | None = None
-    refresh_cache: bool = False
-    strategy: str = "ymd"
-    window_days: int = 5
-    axes: list[str] = field(default_factory=lambda: list(AXES))
-    min_country_events: int = 5
-    top_domains: int = 10
-    fatalities_unknown: str = "zero"
+    """The settings of a run; each field declares its own ``SETTINGS`` row."""
+    floodlist: Path | None = _setting(None, "inputs.floodlist", "consolidate", "--floodlist")
+    emdat: Path | None = _setting(None, "inputs.emdat", "consolidate", "--emdat")
+    dfo: Path | None = _setting(None, "inputs.dfo", "consolidate", "--dfo")
+    min_sources: int = _setting(2, "consolidate.min_sources", "consolidate", "--min-sources")
+    corpus: Path | None = _setting(None, "inputs.corpus", "scan", "--input")
+    threshold: float = _setting(0.40, "scan.threshold", "scan", "--threshold")
+    scorer: str = _setting("builtin", "scan.scorer", "scan", "--scorer")
+    keyword_substring: bool = _setting(False, "scan.substring", "scan", "--substring")
+    gazetteer_path: Path | None = _setting(None, "extract.gazetteer", "extract", "--gazetteer")
+    kb_path: Path | None = _setting(None, "extract.kb", "extract", "--kb")
+    # "live" or "replay:<path>"; an INI [extract] replay key sets the path.
+    geocoder: str = _setting("replay:", "extract.geocoder", "extract", "--geocoder")
+    max_inflight: int = _setting(2, "extract.max_inflight", "extract", "--max-inflight")
+    min_delay_ms: int = _setting(1000, "extract.min_delay_ms", "extract", "--min-delay-ms")
+    cache_dir: Path | None = _setting(None, "extract.cache_dir", "extract", "--cache-dir")
+    refresh_cache: bool = _setting(False, None, "extract", "--refresh")
+    strategy: str = _setting("ymd", "match.strategy", "match", "--strategy", ("ymd", "ym"))
+    window_days: int = _setting(5, "match.window_days", "match", "--window-days")
+    indicators: Path | None = _setting(None, "inputs.indicators", "analyze", "--indicators")
+    axes: list[str] = _setting(list(AXES), "analyze.axes", "analyze", "--axes", tuple(AXES))
+    min_country_events: int = _setting(5, "analyze.min_country_events", "analyze",
+                                       "--min-country-events")
+    top_domains: int = _setting(10, "analyze.top_domains", "analyze", "--top-domains")
+    fatalities_unknown: str = _setting("zero", "analyze.fatalities_unknown", "analyze",
+                                       "--fatalities-unknown", ("zero", "exclude"))
+    registry_path: Path | None = _setting(None, "inputs.registry", None)
+    alias_path: Path | None = _setting(None, "inputs.aliases", None)
 
     @classmethod
     def from_ini(cls, path: Path) -> "PipelineConfig":
@@ -168,6 +182,10 @@ class PipelineConfig:
             if not (s.stage in stages if s.stage else reads_registry):
                 continue
             value = getattr(self, s.field)
+            # No count or delay is negative, and one request at least is in flight.
+            low = 1 if s.field == "max_inflight" else 0
+            if s.kind == "int" and value < low:
+                raise ConfigError(f"{s.field} must be >= {low}, got {value}")
             if s.choices:
                 for v in value if isinstance(value, list) else [value]:
                     if v not in s.choices:
@@ -185,10 +203,6 @@ class PipelineConfig:
                 raise ConfigError(f"corpus file not found: {self.corpus}")
             self.make_scorer()
         if "extract" in stages:
-            if self.max_inflight < 1:
-                raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
-            if self.min_delay_ms < 0:
-                raise ConfigError(f"min_delay_ms must be >= 0, got {self.min_delay_ms}")
             if self.geocoder.startswith("replay:"):
                 replay = self.geocoder[len("replay:"):]
                 if replay and not Path(replay).exists():
@@ -234,12 +248,8 @@ class Setting(NamedTuple):
     ini: str | None
     stage: str | None
     flag: str | None
-    choices: tuple[str, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        """The field's annotation: a key of ``PARSERS``, or ``bool``."""
-        return PipelineConfig.__dataclass_fields__[self.field].type
+    choices: tuple[str, ...]
+    kind: str  # the field's annotation: a key of ``PARSERS``, or ``bool``
 
 
 def _comma_list(text: str) -> list[str]:
@@ -251,35 +261,9 @@ def _comma_list(text: str) -> list[str]:
 PARSERS = {"Path | None": Path, "str": str, "int": int, "float": float,
            "list[str]": _comma_list}
 
-# The one schema of the settings. Defaults live in ``PipelineConfig``.
-SETTINGS = (
-    Setting("floodlist", "inputs.floodlist", "consolidate", "--floodlist"),
-    Setting("emdat", "inputs.emdat", "consolidate", "--emdat"),
-    Setting("dfo", "inputs.dfo", "consolidate", "--dfo"),
-    Setting("min_sources", "consolidate.min_sources", "consolidate", "--min-sources"),
-    Setting("corpus", "inputs.corpus", "scan", "--input"),
-    Setting("threshold", "scan.threshold", "scan", "--threshold"),
-    Setting("scorer", "scan.scorer", "scan", "--scorer"),
-    Setting("keyword_substring", "scan.substring", "scan", "--substring"),
-    Setting("gazetteer_path", "extract.gazetteer", "extract", "--gazetteer"),
-    Setting("kb_path", "extract.kb", "extract", "--kb"),
-    Setting("geocoder", "extract.geocoder", "extract", "--geocoder"),
-    Setting("max_inflight", "extract.max_inflight", "extract", "--max-inflight"),
-    Setting("min_delay_ms", "extract.min_delay_ms", "extract", "--min-delay-ms"),
-    Setting("cache_dir", "extract.cache_dir", "extract", "--cache-dir"),
-    Setting("refresh_cache", None, "extract", "--refresh"),
-    Setting("strategy", "match.strategy", "match", "--strategy", ("ymd", "ym")),
-    Setting("window_days", "match.window_days", "match", "--window-days"),
-    Setting("indicators", "inputs.indicators", "analyze", "--indicators"),
-    Setting("axes", "analyze.axes", "analyze", "--axes", tuple(AXES)),
-    Setting("min_country_events", "analyze.min_country_events", "analyze",
-            "--min-country-events"),
-    Setting("top_domains", "analyze.top_domains", "analyze", "--top-domains"),
-    Setting("fatalities_unknown", "analyze.fatalities_unknown", "analyze",
-            "--fatalities-unknown", ("zero", "exclude")),
-    Setting("registry_path", "inputs.registry", None, None),
-    Setting("alias_path", "inputs.aliases", None, None),
-)
+# The one schema of the settings, read off the fields of ``PipelineConfig``.
+SETTINGS = tuple(Setting(f.name, *f.metadata["setting"], f.type)
+                 for f in fields(PipelineConfig))
 
 
 class _EmptyClient:
@@ -319,15 +303,6 @@ def write_jsonl(path: Path, rows) -> int:
             fh.write(encode(row) + "\n")
             n += 1
     return n
-
-
-def read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
 
 
 def file_digest(path: Path) -> str:
@@ -540,15 +515,10 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[dict,
 
 def load_result(out_dir: Path, name: str, registry: CountryRegistry | None = None) -> list:
     """Stage ``name``'s result, decoded from its artifact. A bad row is a RowError
-    ``<artifact> line N: <field>: <problem>``, N counting non-blank lines."""
+    ``<artifact> line N: <field>: <problem>``."""
     artifact, _, row_type = STAGE_TABLE[name]
-    rows = []
-    for n, row in enumerate(read_jsonl(out_dir / artifact), start=1):
-        try:
-            rows.append(row_type.from_json_dict(row, registry))
-        except RowError as exc:
-            raise RowError(f"{artifact} line {n}: {exc}") from None
-    return rows
+    return read_jsonl(out_dir / artifact,
+                      lambda row: row_type.from_json_dict(row, registry))
 
 
 _STAGE_FUNCS = {
@@ -597,7 +567,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
         if path is not None and path.exists():
             manifest["input_digests"][name] = file_digest(path)
 
-    failure: StageError | None = None
+    failure: Exception | None = None
     held: dict = {}  # stage results and the registry, handed downstream
     todo = [stage for stage in STAGES if stage in stages]
     for i, stage in enumerate(todo):
@@ -618,10 +588,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path, resume: bool = True,
             held[stage], entry["counts"] = _STAGE_FUNCS[stage](
                 cfg, out_dir, {name: held[name] for name in reads})
             entry["status"] = "ran"
-        except (ConfigError, InputError):
-            raise
         except Exception as exc:
-            failure = StageError(stage, exc)
+            # An input or config error keeps its exit code, raised after the manifest.
+            failure = (exc if isinstance(exc, (ConfigError, InputError))
+                       else StageError(stage, exc))
             entry.update(status="failed", error=str(exc))
         entry["seconds"] = round(time.perf_counter() - started, 3)
         if failure is not None:

@@ -5,15 +5,18 @@ as fast as a dict literal: it writes an Enum as its value, a date in ISO
 format, a ``CountryCode`` as its iso3 and a nested row as its object. The
 decoder checks each value against its field's annotation (a bool is not an
 int) and raises ``RowError`` naming the key (``date.year_source`` if nested).
+``read_jsonl`` reads a JSON-lines file and names the line of any bad row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
 from datetime import date
 from enum import EnumMeta
+from pathlib import Path
 
 from .countries import CountryCode
 
@@ -101,3 +104,24 @@ def json_row(keys: dict[str, str] | None = None, encode: dict[str, str] | None =
         cls.from_json_dict = staticmethod(from_json_dict)
         return cls
     return build
+
+
+def read_jsonl(path: Path, decode=None) -> list:
+    """The rows of a JSON-lines file, each passed through ``decode`` if given;
+    blank lines are skipped. A line that does not parse or decode (a missing
+    key included) is a RowError ``<file> line N: <problem>``, N counting
+    every line of the file."""
+    rows = []
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line.decode("utf-8"))
+                rows.append(decode(row) if decode else row)
+            except (ValueError, KeyError, TypeError) as exc:  # RowError included
+                problem = (f"{exc.args[0]}: missing" if type(exc) is KeyError else
+                           f"{exc.msg}: column {exc.colno}"
+                           if isinstance(exc, json.JSONDecodeError) else exc)
+                raise RowError(f"{Path(path).name} line {n}: {problem}") from None
+    return rows

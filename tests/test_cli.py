@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from coverage_auditor.cli import main
+from coverage_auditor.geocode import ReplayGeocoderClient, geocache_path
 from coverage_auditor.pipeline import SETTINGS, STAGE_TABLE, STAGES
 from conftest import FIXTURES
 
@@ -274,6 +275,66 @@ def test_bad_artifact_row_names_its_artifact_line_and_field(finished_run, capsys
         (finished_run / STAGE_TABLE[reader].artifact).unlink(missing_ok=True)
         assert run_cli(command, "--config", E2E / "config.ini", "--out", finished_run) == 4
         assert capsys.readouterr().err == f"stage {reader} failed: {artifact} line 2: {error}\n"
+
+
+def _cut_line_3(run, tmp_path):
+    path = run / "candidates.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2][:50] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return [], "candidates.jsonl line 3: Invalid control character at: column 51"
+
+
+def _blank_line_2(run, tmp_path):
+    path = run / "candidates.jsonl"
+    _edit_row(path, 5, lambda row: row.pop("title"))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:1] + ["\n"] + lines[1:]), encoding="utf-8")
+    return [], "candidates.jsonl line 6: title: missing"
+
+
+def _replay_row_without_results(run, tmp_path):
+    replay = tmp_path / "replay.jsonl"
+    text = (E2E / "replay.jsonl").read_text(encoding="utf-8") + '{"query": "X"}\n'
+    replay.write_text(text, encoding="utf-8")
+    return (["--geocoder", f"replay:{replay}"],
+            f"replay.jsonl line {text.count(chr(10))}: results: missing")
+
+
+def _geocache_row_without_stage(run, tmp_path):
+    identity = ReplayGeocoderClient(E2E / "replay.jsonl").identity
+    cache = geocache_path(tmp_path, identity)
+    cache.write_text('{"query": "x", "result": null}\n', encoding="utf-8")
+    return ["--cache-dir", tmp_path], f"{cache.name} line 1: stage: missing"
+
+
+@pytest.mark.parametrize("damage", [_cut_line_3, _blank_line_2,
+                                    _replay_row_without_results, _geocache_row_without_stage],
+                         ids=["cut short", "blank line", "replay row", "geocache row"])
+def test_bad_jsonl_line_names_its_file_and_line(finished_run, tmp_path, capsys, damage):
+    """Every JSON-lines file extract reads names the file line, counting
+    blank lines, of a row that does not parse or lacks a key."""
+    argv, error = damage(finished_run, tmp_path)
+    capsys.readouterr()
+    assert run_cli("extract", "--config", E2E / "config.ini", "--out", finished_run,
+                   *argv) == 4
+    assert capsys.readouterr().err == f"stage extract failed: {error}\n"
+
+
+def test_input_error_in_a_stage_still_writes_the_manifest(tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", inputs / "config.ini", "--out", out) == 0
+    dfo = inputs / "dfo.csv"
+    dfo.write_text("bogus,header\n" + dfo.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    assert run_cli("run", "--no-resume", "--config", inputs / "config.ini",
+                   "--out", out) == 3
+    err = capsys.readouterr().err
+    [stage] = read_manifest(out)["stages"]
+    assert (stage["name"], stage["status"]) == ("consolidate", "failed")
+    assert err == f"input error: {stage['error']}\n"
 
 
 def test_report_summarizes_run(finished_run, capsys):

@@ -163,9 +163,9 @@ def read_calls(monkeypatch):
     calls = []
     read = pipeline.read_jsonl
 
-    def recording(path):
+    def recording(path, decode=None):
         calls.append(path.name)
-        return read(path)
+        return read(path, decode)
     monkeypatch.setattr(pipeline, "read_jsonl", recording)
     return calls
 

@@ -1,5 +1,6 @@
-"""The settings schema: ``pipeline.SETTINGS`` is the one table behind the
-INI reader, the stage flags, their overrides and the allowed-value checks;
+"""The settings schema: each ``PipelineConfig`` field declares its setting,
+and ``pipeline.SETTINGS``, read off those fields, is the one table behind
+the INI reader, the stage flags, their overrides and the value checks;
 ``config_hash`` hashes the settings a run actually used."""
 
 import json
@@ -100,6 +101,17 @@ def test_every_flag_overrides_the_ini(tmp_path, s):
         assert getattr(PipelineConfig.from_ini(tmp_path / "c.ini"), s.field) != expected
     cfg = _load_config(build_parser().parse_args(argv))
     assert getattr(cfg, s.field) == expected
+
+
+@pytest.mark.parametrize("s", [s for s in SETTINGS if s.kind == "int" and s.flag],
+                         ids=lambda s: f"{s.stage} {s.flag}")
+def test_negative_int_setting_is_a_config_error(tmp_path, capsys, s):
+    out = tmp_path / "run"
+    assert main([s.stage, s.flag, "-1", "--config", str(E2E / "config.ini"),
+                 "--out", str(out)]) == 2
+    low = 1 if s.field == "max_inflight" else 0
+    assert capsys.readouterr().err == f"config error: {s.field} must be >= {low}, got -1\n"
+    assert not out.exists()
 
 
 def test_replay_key_folds_into_the_replay_geocoder(tmp_path):
