@@ -73,19 +73,22 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"no manifest in {out_dir}", file=sys.stderr)
         return EXIT_CONFIG
     labels = _read_labels(args.labels) if args.labels is not None else {}
-    version, stage_lines = _parsed(
+    version, stage_lines, failed = _parsed(
         manifest_path, lambda p: _manifest_lines(json.loads(p.read_text(encoding="utf-8"))))
     matches_path = out_dir / ARTIFACTS["match"]
     events_path = out_dir / ARTIFACTS["consolidate"]
     report = None
-    if matches_path.exists() and events_path.exists():
+    # After a failed stage the artifacts on disk may be an earlier run's.
+    if failed is None and matches_path.exists() and events_path.exists():
         matches = _parsed(matches_path, lambda p: load_result(out_dir, "match"))
         report = evaluate(matches, labels, len(_parsed(events_path, read_jsonl)))
 
     print(f"coverage-auditor {version} run report")
     for line in stage_lines:
         print(line)
-    if report is not None:
+    if failed is not None:
+        print(f"  hit rate: n/a ({failed} failed)")
+    elif report is not None:
         hit, total = report.hits, report.ground_truth_total
         rate = f"{100.0 * hit / total:.2f}%" if total else "n/a"
         print(f"  hit rate: {hit}/{total} = {rate}")
@@ -100,15 +103,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _manifest_lines(manifest) -> tuple[str, list[str]]:
-    """The tool version and one report line per stage; a manifest of the
-    wrong shape is a ValueError."""
+def _counts(stage: dict) -> str:
+    """A manifest stage's counts as ``key=value`` words, sorted by key."""
+    return " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
+
+
+def _manifest_lines(manifest) -> tuple[str, list[str], str | None]:
+    """The tool version, one report line per stage and the first failed
+    stage's name, if any; a manifest of the wrong shape is a ValueError."""
     try:
-        lines = []
-        for stage in manifest["stages"]:
-            counts = " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
-            lines.append(f"  {stage['name']:<12} {stage['status']:<8} {counts}")
-        return manifest.get("tool_version", "?"), lines
+        lines = [f"  {stage['name']:<12} {stage['status']:<8} {_counts(stage)}"
+                 for stage in manifest["stages"]]
+        failed = next((stage["name"] for stage in manifest["stages"]
+                       if stage["status"] == "failed"), None)
+        return manifest.get("tool_version", "?"), lines, failed
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a run manifest ({type(exc).__name__}: {exc})") from exc
 
@@ -158,8 +166,7 @@ def main(argv: list[str] | None = None) -> int:
                                 resume=run_all and not args.no_resume,
                                 stages=list(STAGES) if run_all else [args.command])
         for stage in manifest["stages"]:
-            counts = " ".join(f"{k}={v}" for k, v in sorted(stage["counts"].items()))
-            print(f"{stage['name']}: {stage['status']} {counts}".rstrip())
+            print(f"{stage['name']}: {stage['status']} {_counts(stage)}".rstrip())
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from .rows import json_row
 log = logging.getLogger(__name__)
 
 FLOOD_KEYWORDS = ["flood", "floods", "flooding", "flooded", "inundation"]
-DEFAULT_RELEVANCE_THRESHOLD = 0.40
 
 # text -> probability in [0, 1]
 RelevanceScorer = Callable[[str], float]
@@ -429,8 +428,7 @@ def score_relevance(candidate: CandidateSentence, scorer: RelevanceScorer) -> fl
 
 
 def filter_by_relevance(candidates: Iterable[CandidateSentence],
-                        scorer: RelevanceScorer,
-                        threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
+                        scorer: RelevanceScorer, threshold: float,
                         ) -> tuple[list[CandidateSentence], int]:
     """Retain candidates scoring strictly above the threshold.
 

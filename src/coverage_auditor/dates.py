@@ -123,6 +123,20 @@ def _date_matches(text: str):
             pos = m.end()
 
 
+# Each form of _DATE_RE, by its outer group: the groups that hold its year,
+# month and day, None where the form has none.
+_FORMS = {
+    "iso": ("iso_y", "iso_m", "iso_d"),
+    "mdy": ("mdy_y", "mdy_mon", "mdy_d"),
+    "dmy": ("dmy_y", "dmy_mon", "dmy_d"),
+    "my": ("my_y", "my_mon", None),
+    "md": (None, "md_mon", "md_d"),
+    "modm": (None, "modm_mon", "mod"),
+    "mon": (None, "mon", None),
+    "bare_y": ("bare_y", None, None),
+}
+
+
 def find_dates(text: str) -> list[DateMention]:
     """Extract date mentions left to right, longest pattern first.
 
@@ -132,49 +146,29 @@ def find_dates(text: str) -> list[DateMention]:
     """
     mentions: list[DateMention] = []
     for m in _date_matches(text):
-        span = m.group(0)
-        if m.group("iso"):
-            year, month, day = int(m.group("iso_y")), int(m.group("iso_m")), int(m.group("iso_d"))
-            if not (_valid_year(year) and 1 <= month <= 12 and 1 <= day <= 31):
-                continue
-            mentions.append(DateMention(span, day, month, year, YearSource.EXPLICIT))
-        elif m.group("mdy") or m.group("dmy"):
-            kind = "mdy" if m.group("mdy") else "dmy"
-            month = _month_num(m.group(f"{kind}_mon"))
-            day = _day_num(m.group(f"{kind}_d"))
-            year = int(m.group(f"{kind}_y"))
-            if month is None or day is None or not _valid_year(year):
-                continue
-            mentions.append(DateMention(span, day, month, year, YearSource.EXPLICIT))
-        elif m.group("my"):
-            month = _month_num(m.group("my_mon"))
-            year = int(m.group("my_y"))
-            if month is None or not _valid_year(year):
-                continue
-            mentions.append(DateMention(span, None, month, year, YearSource.EXPLICIT))
-        elif m.group("md"):
-            month = _month_num(m.group("md_mon"))
-            day = _day_num(m.group("md_d"))
-            if month is None or day is None or not m.group("md_mon")[0].isupper():
-                continue
-            mentions.append(DateMention(span, day, month, None))
-        elif m.group("modm"):
-            month = _month_num(m.group("modm_mon"))
-            # Yearless months must be capitalized: "may" is usually a verb.
-            if month is None or not m.group("modm_mon")[0].isupper():
-                continue
-            day = _MODIFIER_DAY[m.group("mod")[0].lower()]
-            mentions.append(DateMention(span, day, month, None))
-        elif m.group("mon"):
-            month = _month_num(m.group("mon"))
-            if month is None or not m.group("mon")[0].isupper():
-                continue
-            mentions.append(DateMention(span, None, month, None))
-        else:  # bare year
-            year = int(m.group("bare_y"))
+        year_group, month_group, day_group = _FORMS[m.lastgroup]
+        year = month = day = None
+        if year_group is not None:
+            year = int(m.group(year_group))
             if not _valid_year(year):
                 continue
-            mentions.append(DateMention(span, None, None, year, YearSource.EXPLICIT))
+        if month_group is not None:
+            token = m.group(month_group)
+            month = int(token) if token.isdigit() else _month_num(token)
+            if month is None or not 1 <= month <= 12:
+                continue
+            # Yearless months must be capitalized: "may" is usually a verb.
+            if year is None and not token[0].isupper():
+                continue
+        if day_group is not None:
+            token = m.group(day_group)
+            day = (_day_num(token) if token[0].isdigit()
+                   else _MODIFIER_DAY[token[0].lower()])
+            if day is None:
+                continue
+        mentions.append(DateMention(m.group(0), day, month, year,
+                                    YearSource.UNRESOLVED if year is None
+                                    else YearSource.EXPLICIT))
     return mentions
 
 

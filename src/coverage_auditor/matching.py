@@ -2,12 +2,13 @@
 
 Two strategies, from strict to lax:
   YMD - same country and the candidate date falls inside
-        [start_date, end_date + window] (window defaults to 5 days);
+        [start_date, end_date + window_days];
   YM  - same country and the candidate's calendar month intersects
         [start_date, end_date].
 
 Day-less candidate dates ("August 2018") are treated under YMD as matching
-when any day of that month falls inside the window.
+when any day of that month falls inside the window. So YM is YMD with a
+window of 0, applied to the candidate's month.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable
 
-from .dates import DateMention
 from .ground_truth import ConsolidatedEvent
 from .places import ResolvedCandidate
 from .rows import json_row
-
-DEFAULT_WINDOW_DAYS = 5
 
 
 class Strategy(str, Enum):
@@ -95,59 +93,31 @@ class EventIndex:
         return group[bisect_left(reach, lo):bisect_right(starts, hi)]
 
 
-def _month_interval(year: int, month: int) -> tuple[date, date]:
-    last = calendar.monthrange(year, month)[1]
-    return date(year, month, 1), date(year, month, last)
-
-
-def _candidate_interval(mention: DateMention) -> tuple[date, date]:
-    assert mention.year is not None and mention.month is not None
-    if mention.day is not None:
-        d = date(mention.year, mention.month, min(mention.day,
-                 calendar.monthrange(mention.year, mention.month)[1]))
-        return d, d
-    return _month_interval(mention.year, mention.month)
-
-
-def match_ymd(candidate: ResolvedCandidate, events: EventIndex,
-              window_days: int = DEFAULT_WINDOW_DAYS) -> list[MatchResult]:
-    """Country equality plus date inside [start, end + window], inclusive."""
-    if not candidate.date.is_matchable:
-        return []
-    lo, hi = _candidate_interval(candidate.date)
-    matches = []
-    # lo <= end + window, written so that no date leaves the calendar's range.
-    for event in events.reaching(candidate.country.iso3,
-                                 lo.toordinal() - window_days, hi.toordinal()):
-        if (lo - event.end_date).days <= window_days and hi >= event.start_date:
-            matches.append(MatchResult.from_candidate(event.event_id, candidate,
-                                                      Strategy.YMD))
-    return matches
-
-
-def match_ym(candidate: ResolvedCandidate, events: EventIndex) -> list[MatchResult]:
-    """Country equality plus calendar-month overlap with [start, end]."""
-    if not candidate.date.is_matchable:
-        return []
-    month_lo, month_hi = _month_interval(candidate.date.year, candidate.date.month)
-    matches = []
-    for event in events.reaching(candidate.country.iso3,
-                                 month_lo.toordinal(), month_hi.toordinal()):
-        if month_lo <= event.end_date and month_hi >= event.start_date:
-            matches.append(MatchResult.from_candidate(event.event_id, candidate,
-                                                      Strategy.YM))
-    return matches
-
-
 def match_all(candidates: Iterable[ResolvedCandidate], events: EventIndex,
-              strategy: Strategy, window_days: int = DEFAULT_WINDOW_DAYS,
-              ) -> list[MatchResult]:
+              strategy: Strategy, window_days: int) -> list[MatchResult]:
+    """The events each matchable candidate's interval reaches, in index order.
+
+    The interval is the candidate's day, clamped to its month, under YMD
+    when the date has one, else its calendar month; the window is
+    ``window_days`` under YMD and 0 under YM.
+    """
+    window = window_days if strategy is Strategy.YMD else 0
     matches: list[MatchResult] = []
     for candidate in candidates:
-        if strategy is Strategy.YMD:
-            matches.extend(match_ymd(candidate, events, window_days))
+        d = candidate.date
+        if not d.is_matchable:
+            continue
+        last = calendar.monthrange(d.year, d.month)[1]
+        if strategy is Strategy.YMD and d.day is not None:
+            lo = hi = date(d.year, d.month, min(d.day, last))
         else:
-            matches.extend(match_ym(candidate, events))
+            lo, hi = date(d.year, d.month, 1), date(d.year, d.month, last)
+        # lo <= end + window, written so that no date leaves the calendar's range.
+        for event in events.reaching(candidate.country.iso3,
+                                     lo.toordinal() - window, hi.toordinal()):
+            if (lo - event.end_date).days <= window and hi >= event.start_date:
+                matches.append(MatchResult.from_candidate(event.event_id, candidate,
+                                                          strategy))
     return matches
 
 

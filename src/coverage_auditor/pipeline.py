@@ -42,7 +42,7 @@ from .ground_truth import (ConsolidatedEvent, Source, consolidate,
                            venn_counts)
 from .matching import EventIndex, MatchResult, Strategy, match_all
 from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
-                     expand_candidates, extract_placenames)
+                     expand_candidates)
 from .rows import read_jsonl
 
 CACHE_DIR_ENV = "COVAUD_CACHE_DIR"
@@ -415,30 +415,28 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list,
                                refresh=cfg.refresh_cache)
 
     candidates = held["scan"]
-    titles: dict[str, tuple] = {}  # title -> its date mentions and places
+    titles: dict[str, tuple] = {}  # title -> its date mentions and place spans
     spotted = []
     for cand in candidates:
         if cand.title not in titles:
-            titles[cand.title] = (find_dates(cand.title),
-                                  extract_placenames(cand.title, spotter))
-        title_dates, title_places = titles[cand.title]
+            titles[cand.title] = (find_dates(cand.title), spotter(cand.title))
+        title_dates, title_spans = titles[cand.title]
         dates = [infer_year(m, cand.text, cand.paragraph_years, cand.title)
                  for m in find_dates(cand.text) + title_dates]
-        places = extract_placenames(cand.text, spotter)
-        spans = {p.raw_span for p in places}
-        places += [p for p in title_places if p.raw_span not in spans]
-        spotted.append((cand, dates, places))
+        # The sentence's spans, then the title's; each span once, first place kept.
+        spans = list(dict.fromkeys(spotter(cand.text) + title_spans))
+        spotted.append((cand, dates, spans))
 
     # Remote lookups overlap here, as far as the client allows; rows are
     # built in candidate order below.
-    resolver.prefetch((p.raw_span for _, _, places in spotted for p in places),
+    resolver.prefetch((span for _, _, spans in spotted for span in spans),
                       client.max_inflight)
     resolved = []
     resolved_candidates = 0
     discarded = dict.fromkeys(["no_date", "no_place", "no_date_no_place"], 0)
-    for cand, dates, places in spotted:
-        resolved_places = [resolver.resolve(p.raw_span, cand.text, cand.title)
-                           for p in places]
+    for cand, dates, spans in spotted:
+        resolved_places = [resolver.resolve(span, cand.text, cand.title)
+                           for span in spans]
         expanded = expand_candidates(cand, dates, resolved_places)
         if expanded:
             resolved_candidates += 1

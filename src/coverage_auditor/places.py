@@ -1,10 +1,9 @@
 """Placename spotting, phrase matching and candidate expansion.
 
-The default extractor is a deterministic gazetteer longest-match over
-capitalized token spans, so tests run hermetically; an external NER tagger
-can be plugged in through the same callable interface. ``PhraseMatcher``
-finds the leftmost-longest phrases of a word list with one dict probe per
-word that starts none; the spotter and whole-text country inference
+The spotter is a deterministic gazetteer longest-match over capitalized
+token spans, so tests run hermetically. ``PhraseMatcher`` finds the
+leftmost-longest phrases of a word list with one dict probe per word that
+starts none; the spotter and whole-text country inference
 (``geocode.AliasScanInferencer``) both run on it.
 """
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .countries import CountryCode, CountryRegistry
 from .corpus import CandidateSentence
@@ -48,10 +47,6 @@ class ResolvedCandidate:
     date: DateMention
     place_span: str
     place_stage: ResolverStage
-
-
-# extractor: text -> place-name spans in positional order
-PlacenameExtractor = Callable[[str], list[str]]
 
 
 class PhraseMatcher:
@@ -147,19 +142,6 @@ def _capitalized_runs(text: str) -> list[list[tuple[str, int]]]:
     if current:
         runs.append(current)
     return runs
-
-
-def extract_placenames(text: str,
-                       extractor: PlacenameExtractor) -> list[PlaceMention]:
-    """Non-overlapping spans, left to right; duplicates keep first position."""
-    seen: set[str] = set()
-    mentions: list[PlaceMention] = []
-    for span in extractor(text):
-        if span in seen:
-            continue
-        seen.add(span)
-        mentions.append(PlaceMention(raw_span=span))
-    return mentions
 
 
 def expand_candidates(candidate: CandidateSentence,

@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import re
-from datetime import timedelta
+from datetime import date, timedelta
 from typing import BinaryIO
 
 from coverage_auditor.corpus import (Article, CandidateSentence, Citation,
@@ -41,9 +41,7 @@ from coverage_auditor.ground_truth import (SOURCES, ConsolidatedEvent,
                                            ParseResult, RejectedRow, Source,
                                            SourceRecord, _parse_count,
                                            _parse_date, _require)
-from coverage_auditor.matching import (DEFAULT_WINDOW_DAYS, MatchResult,
-                                       Strategy, _candidate_interval,
-                                       _month_interval)
+from coverage_auditor.matching import MatchResult, Strategy
 from coverage_auditor.places import ResolvedCandidate, _capitalized_runs
 
 
@@ -403,12 +401,23 @@ def _country_events(events: list[ConsolidatedEvent],
                   key=lambda e: (e.start_date, e.event_id))
 
 
+def _month_days(year: int, month: int) -> tuple[date, date]:
+    """The month's first day and its last, the day before the next month's first."""
+    following = date(year + month // 12, month % 12 + 1, 1)
+    return date(year, month, 1), following - timedelta(days=1)
+
+
 def oracle_match_ymd(candidate: ResolvedCandidate, events: list[ConsolidatedEvent],
-                     window_days: int = DEFAULT_WINDOW_DAYS) -> list[MatchResult]:
-    """Every event of the candidate's country against [start, end + window]."""
+                     window_days: int) -> list[MatchResult]:
+    """Every event of the candidate's country against [start, end + window]:
+    the candidate's day, or the month's last day if the month is shorter, or
+    its whole month when it has no day."""
     if not candidate.date.is_matchable:
         return []
-    lo, hi = _candidate_interval(candidate.date)
+    d = candidate.date
+    lo, hi = _month_days(d.year, d.month)
+    if d.day is not None:
+        lo = hi = min(lo + timedelta(days=d.day - 1), hi)
     matches = []
     for event in _country_events(events, candidate.country.iso3):
         window_end = event.end_date + timedelta(days=window_days)
@@ -423,7 +432,7 @@ def oracle_match_ym(candidate: ResolvedCandidate,
     """Every event of the candidate's country against the candidate's month."""
     if not candidate.date.is_matchable:
         return []
-    month_lo, month_hi = _month_interval(candidate.date.year, candidate.date.month)
+    month_lo, month_hi = _month_days(candidate.date.year, candidate.date.month)
     matches = []
     for event in _country_events(events, candidate.country.iso3):
         if month_lo <= event.end_date and month_hi >= event.start_date:

@@ -22,10 +22,8 @@ from coverage_auditor.dates import (YearSource, distinct_years, find_dates,
 from coverage_auditor.geocode import CascadeResolver, KnowledgeBase
 from coverage_auditor.ground_truth import (Source, consolidate,
                                            filter_multi_source)
-from coverage_auditor.matching import (EventIndex, Strategy, evaluate,
-                                       match_all, match_ym, match_ymd)
-from coverage_auditor.places import (Gazetteer, GazetteerSpotter,
-                                     extract_placenames)
+from coverage_auditor.matching import EventIndex, Strategy, evaluate, match_all
+from coverage_auditor.places import Gazetteer, GazetteerSpotter
 from oracles import oracle_consolidate
 from test_ground_truth import make_record, random_records, signatures
 from test_matching import make_candidate, make_event
@@ -173,11 +171,9 @@ def test_ac5_reference_sentences(registry):
                                registry)
     failures = []
     for sentence, title, expected in AC5_CASES:
-        places = extract_placenames(sentence, spotter)
-        places += [p for p in extract_placenames(title, spotter)
-                   if p.raw_span not in {q.raw_span for q in places}]
-        resolved = {resolver.resolve(p.raw_span, sentence, title).resolved
-                    for p in places}
+        spans = dict.fromkeys(spotter(sentence) + spotter(title))
+        resolved = {resolver.resolve(span, sentence, title).resolved
+                    for span in spans}
         got = sorted(c.iso3 for c in resolved if c is not None)
         if got != expected:
             failures.append(f"{title!r}: {got} != {expected}")
@@ -194,15 +190,17 @@ def test_ac6_matching_boundaries(registry):
                                  date(2018, 8, 20), date(2018, 8, 23))])
     checks = [
         ("PAK start day under YMD",
-         len(match_ymd(make_candidate(registry, "PAK", 2019, 4, 13), pak)) == 1),
+         len(match_all([make_candidate(registry, "PAK", 2019, 4, 13)], pak,
+                       Strategy.YMD, 5)) == 1),
         ("USA August month under YM",
-         len(match_ym(make_candidate(registry, "USA", 2018, 8), usa)) == 1),
+         len(match_all([make_candidate(registry, "USA", 2018, 8)], usa,
+                       Strategy.YM, 0)) == 1),
         ("end + 5 still matches",
-         len(match_ymd(make_candidate(registry, "PAK", 2019, 4, 23), pak,
-                       window_days=5)) == 1),
+         len(match_all([make_candidate(registry, "PAK", 2019, 4, 23)], pak,
+                       Strategy.YMD, 5)) == 1),
         ("end + 6 does not",
-         match_ymd(make_candidate(registry, "PAK", 2019, 4, 24), pak,
-                   window_days=5) == []),
+         match_all([make_candidate(registry, "PAK", 2019, 4, 24)], pak,
+                   Strategy.YMD, 5) == []),
     ]
     failures = [name for name, ok in checks if not ok]
     verdict(6, not failures,
@@ -267,7 +265,8 @@ def test_ac8_strategy_containment(registry):
                                        start + timedelta(days=rng.randint(0, 40)))])
         cand = make_candidate(registry, "PAK", 2018, rng.randint(1, 12),
                               day=rng.choice([None, rng.randint(1, 28)]))
-        if match_ymd(cand, index, window_days=0) and not match_ym(cand, index):
+        if (match_all([cand], index, Strategy.YMD, 0)
+                and not match_all([cand], index, Strategy.YM, 0)):
             violations += 1
     verdict(8, violations == 0,
             f"1000 random pairs: {violations} containment violations")

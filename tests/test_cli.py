@@ -321,7 +321,11 @@ def test_bad_jsonl_line_names_its_file_and_line(finished_run, tmp_path, capsys, 
     assert capsys.readouterr().err == f"stage extract failed: {error}\n"
 
 
-def test_input_error_in_a_stage_still_writes_the_manifest(tmp_path, capsys):
+@pytest.fixture()
+def failed_run(tmp_path, capsys):
+    """A good run of a copy of the e2e inputs, then a --no-resume run whose
+    consolidate fails on a bad dfo.csv header; its stderr is returned. The
+    artifacts left on disk are the good run's."""
     inputs = tmp_path / "inputs"
     shutil.copytree(E2E, inputs)
     out = tmp_path / "run"
@@ -331,10 +335,21 @@ def test_input_error_in_a_stage_still_writes_the_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("run", "--no-resume", "--config", inputs / "config.ini",
                    "--out", out) == 3
-    err = capsys.readouterr().err
+    return out, capsys.readouterr().err
+
+
+def test_input_error_in_a_stage_still_writes_the_manifest(failed_run):
+    out, err = failed_run
     [stage] = read_manifest(out)["stages"]
     assert (stage["name"], stage["status"]) == ("consolidate", "failed")
     assert err == f"input error: {stage['error']}\n"
+
+
+def test_report_after_a_failed_run_prints_no_hit_rate(failed_run, capsys):
+    out, _ = failed_run
+    assert run_cli("report", "--out", out, "--labels", E2E / "labels.csv") == 0
+    lines = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+    assert lines[1:] == ["  consolidate  failed", "  hit rate: n/a (consolidate failed)"]
 
 
 def test_report_summarizes_run(finished_run, capsys):

@@ -379,5 +379,5 @@ def test_scorer_failure_drops_candidate():
     def bad(_text):
         raise RuntimeError("model unavailable")
     cands = make_candidate("The floods rose.")
-    kept, dropped = filter_by_relevance(cands, bad)
+    kept, dropped = filter_by_relevance(cands, bad, 0.40)
     assert (kept, dropped) == ([], 1)

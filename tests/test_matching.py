@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from coverage_auditor.dates import DateMention, YearSource
 from coverage_auditor.ground_truth import ConsolidatedEvent
-from coverage_auditor.matching import (EventIndex, Strategy, evaluate,
-                                       match_all, match_ym, match_ymd)
+from coverage_auditor.matching import EventIndex, Strategy, evaluate, match_all
 from coverage_auditor.places import ResolvedCandidate, ResolverStage
 from oracles import oracle_match_ym, oracle_match_ymd
 
@@ -45,7 +44,8 @@ def test_ymd_matches_inside_event_range(registry):
     index = EventIndex([make_event(registry, "PAK",
                                    date(2019, 4, 13), date(2019, 4, 18))])
     cand = make_candidate(registry, "PAK", 2019, 4, 13)
-    assert [m.event_id for m in match_ymd(cand, index)] == ["PAK-2019-04-13"]
+    assert ([m.event_id for m in match_all([cand], index, Strategy.YMD, 5)]
+            == ["PAK-2019-04-13"])
 
 
 def test_ymd_window_is_inclusive_at_end_plus_five(registry):
@@ -53,15 +53,15 @@ def test_ymd_window_is_inclusive_at_end_plus_five(registry):
                                    date(2019, 4, 13), date(2019, 4, 18))])
     at_edge = make_candidate(registry, "PAK", 2019, 4, 23)   # end + 5
     past_edge = make_candidate(registry, "PAK", 2019, 4, 24)  # end + 6
-    assert len(match_ymd(at_edge, index, window_days=5)) == 1
-    assert match_ymd(past_edge, index, window_days=5) == []
+    assert len(match_all([at_edge], index, Strategy.YMD, 5)) == 1
+    assert match_all([past_edge], index, Strategy.YMD, 5) == []
 
 
 def test_ymd_never_matches_before_start(registry):
     index = EventIndex([make_event(registry, "PAK",
                                    date(2019, 4, 13), date(2019, 4, 18))])
     before = make_candidate(registry, "PAK", 2019, 4, 12)
-    assert match_ymd(before, index) == []
+    assert match_all([before], index, Strategy.YMD, 5) == []
 
 
 def test_ymd_dayless_candidate_uses_month_interval(registry):
@@ -70,17 +70,17 @@ def test_ymd_dayless_candidate_uses_month_interval(registry):
     august = make_candidate(registry, "USA", 2018, 8, day=None)
     july = make_candidate(registry, "USA", 2018, 7, day=None)
     september = make_candidate(registry, "USA", 2018, 9, day=None)
-    assert len(match_ymd(august, index, window_days=5)) == 1
-    assert match_ymd(july, index, window_days=5) == []
+    assert len(match_all([august], index, Strategy.YMD, 5)) == 1
+    assert match_all([july], index, Strategy.YMD, 5) == []
     # Aug 23 + 5 = Aug 28, still short of September.
-    assert match_ymd(september, index, window_days=5) == []
+    assert match_all([september], index, Strategy.YMD, 5) == []
 
 
 def test_ymd_requires_same_country(registry):
     index = EventIndex([make_event(registry, "PAK",
                                    date(2019, 4, 13), date(2019, 4, 18))])
     cand = make_candidate(registry, "IND", 2019, 4, 14)
-    assert match_ymd(cand, index) == []
+    assert match_all([cand], index, Strategy.YMD, 5) == []
 
 
 # --- YM -----------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_ym_matches_on_month_intersection(registry):
     index = EventIndex([make_event(registry, "USA",
                                    date(2018, 8, 20), date(2018, 8, 23))])
     cand = make_candidate(registry, "USA", 2018, 8, 2)  # day ignored by YM
-    assert len(match_ym(cand, index)) == 1
+    assert len(match_all([cand], index, Strategy.YM, 0)) == 1
 
 
 def test_ym_single_day_overlap_counts(registry):
@@ -98,26 +98,28 @@ def test_ym_single_day_overlap_counts(registry):
                                    date(2018, 7, 20), date(2018, 8, 1))])
     august = make_candidate(registry, "IND", 2018, 8, day=None)
     september = make_candidate(registry, "IND", 2018, 9, day=None)
-    assert len(match_ym(august, index)) == 1
-    assert match_ym(september, index) == []
+    assert len(match_all([august], index, Strategy.YM, 0)) == 1
+    assert match_all([september], index, Strategy.YM, 0) == []
 
 
 def test_unmatchable_date_matches_nothing(registry):
     index = EventIndex([make_event(registry, "USA",
                                    date(2018, 8, 20), date(2018, 8, 23))])
     cand = make_candidate(registry, "USA", 2018, None)
-    assert match_ymd(cand, index) == []
-    assert match_ym(cand, index) == []
+    assert match_all([cand], index, Strategy.YMD, 5) == []
+    assert match_all([cand], index, Strategy.YM, 0) == []
 
 
 def test_open_ended_event_matches_without_leaving_the_calendar(registry):
     index = EventIndex([make_event(registry, "PAK", date(2012, 8, 1), date.max)])
     inside = make_candidate(registry, "PAK", 2019, 4, 13)
     before = make_candidate(registry, "PAK", 2012, 7, 31)
-    assert [m.event_id for m in match_ymd(inside, index)] == ["PAK-2012-08-01"]
-    assert match_ymd(before, index) == []
-    assert [m.event_id for m in match_ym(inside, index)] == ["PAK-2012-08-01"]
-    assert match_ym(before, index) == []
+    assert ([m.event_id for m in match_all([inside], index, Strategy.YMD, 5)]
+            == ["PAK-2012-08-01"])
+    assert match_all([before], index, Strategy.YMD, 5) == []
+    assert ([m.event_id for m in match_all([inside], index, Strategy.YM, 0)]
+            == ["PAK-2012-08-01"])
+    assert match_all([before], index, Strategy.YM, 0) == []
 
 
 # --- the interval search against every event of the country -------------------
@@ -164,13 +166,15 @@ def test_interval_search_matches_full_scan_oracle(registry, case, window_days):
     index = EventIndex(events)
     for k, (iso3, year, month, day) in enumerate(candidates):
         cand = make_candidate(registry, iso3, year, month, day, sentence_index=k)
-        assert ([m.to_json_dict() for m in match_ymd(cand, index, window_days)]
+        assert ([m.to_json_dict() for m in match_all([cand], index, Strategy.YMD,
+                                                     window_days)]
                 == [m.to_json_dict() for m in oracle_match_ymd(cand, events, window_days)])
-        assert ([m.to_json_dict() for m in match_ym(cand, index)]
+        assert ([m.to_json_dict() for m in match_all([cand], index, Strategy.YM,
+                                                     window_days)]
                 == [m.to_json_dict() for m in oracle_match_ym(cand, events)])
 
 
-# --- YMD(window=0) is contained in YM, on random pairs --------------------------
+# --- YMD(window=0) is contained in YM, and equals it on day-less dates ----------
 
 def test_ymd_window_zero_subset_of_ym(registry):
     rng = random.Random(2024)
@@ -183,10 +187,13 @@ def test_ymd_window_zero_subset_of_ym(registry):
         cand = make_candidate(
             registry, "IND", 2018, rng.randint(1, 12),
             day=rng.choice([None, rng.randint(1, 28)]))
-        ymd = match_ymd(cand, index, window_days=0)
-        ym = match_ym(cand, index)
+        ymd = match_all([cand], index, Strategy.YMD, 0)
+        ym = match_all([cand], index, Strategy.YM, 0)
         if ymd:
             assert ym, (cand.date, event.start_date, event.end_date)
+        if cand.date.day is None:
+            # match_all's one loop rests on this: only the label differs.
+            assert [replace(m, strategy=Strategy.YM) for m in ymd] == ym, cand.date
 
 
 # --- evaluation -----------------------------------------------------------------

@@ -8,8 +8,7 @@ from oracles import oracle_spot
 from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.dates import DateMention, YearSource
 from coverage_auditor.places import (Gazetteer, GazetteerSpotter, PlaceMention,
-                                     ResolvedCandidate, expand_candidates,
-                                     extract_placenames)
+                                     ResolvedCandidate, expand_candidates)
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +17,8 @@ def spotter(registry):
 
 
 def names(spotter, text):
-    return [m.raw_span for m in extract_placenames(text, spotter)]
+    """The spans stage_extract keeps of one text: each once, first place kept."""
+    return list(dict.fromkeys(spotter(text)))
 
 
 def test_longest_match_beats_prefix(spotter):
