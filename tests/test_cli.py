@@ -1,4 +1,6 @@
+import bz2
 import configparser
+import gzip
 import json
 import re
 import shutil
@@ -10,6 +12,7 @@ from coverage_auditor.cli import main
 from coverage_auditor.geocode import ReplayGeocoderClient, geocache_path
 from coverage_auditor.pipeline import SETTINGS, STAGE_TABLE, STAGES
 from conftest import FIXTURES
+from test_corpus import MEDIAWIKI_XML
 
 E2E = FIXTURES / "e2e"
 DATA = Path(__file__).resolve().parents[1] / "src" / "coverage_auditor" / "data"
@@ -184,6 +187,36 @@ def test_malformed_table_names_its_file(tmp_path, capsys, key, table, edit, erro
     assert run_cli("run", "--config", inputs / "config.ini", "--out", tmp_path / "run") == 4
     assert capsys.readouterr().err == error.format(
         path=path.resolve(), n=len(text.splitlines())) + "\n"
+
+
+def _flip_middle_byte(data):
+    mid = len(data) // 2
+    return data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1:]
+
+
+@pytest.mark.parametrize("name, data, cause", [
+    ("dump.xml.bz2", bz2.compress(MEDIAWIKI_XML.encode())[:200],
+     "Compressed file ended before the end-of-stream marker was reached"),
+    ("corpus.jsonl.gz", _flip_middle_byte(gzip.compress(
+        (E2E / "corpus.jsonl").read_bytes(), mtime=0)), ""),
+    ("dump.xml", MEDIAWIKI_XML.replace("<title>", "<<title>", 1).encode(),
+     "not well-formed (invalid token)"),
+], ids=["truncated bz2", "corrupt gz", "ill-formed xml"])
+def test_unreadable_corpus_names_its_file(tmp_path, capsys, name, data, cause):
+    """A corpus that cannot be decompressed or parsed fails scan with one
+    line that names it."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    path = inputs / name
+    path.write_bytes(data)
+    _set_ini(inputs / "config.ini", "inputs.corpus", name)
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", inputs / "config.ini", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"stage scan failed: {path.resolve()}: {cause}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    scan = read_manifest(out)["stages"][1]
+    assert scan["status"] == "failed" and str(path.resolve()) in scan["error"]
 
 
 @pytest.mark.parametrize("setting", ["max_inflight = 0", "max_inflight = -1",

@@ -357,10 +357,11 @@ def make_candidate(text):
 
 def test_threshold_is_strictly_greater():
     cands = make_candidate("One sentence.") + make_candidate("Another one.")
-    kept, dropped = filter_by_relevance(cands, constant_scorer(0.40), 0.40)
-    assert (len(kept), dropped) == (0, 2)
-    kept, dropped = filter_by_relevance(cands, constant_scorer(0.41), 0.40)
-    assert (len(kept), dropped) == (2, 0)
+    failed = []
+    kept, dropped = filter_by_relevance(cands, constant_scorer(0.40), 0.40, failed)
+    assert (len(kept), dropped, failed) == (0, 2, [])
+    kept, dropped = filter_by_relevance(cands, constant_scorer(0.41), 0.40, failed)
+    assert (len(kept), dropped, failed) == (2, 0, [])
 
 
 def test_builtin_scorer_orders_sensibly():
@@ -379,5 +380,6 @@ def test_scorer_failure_drops_candidate():
     def bad(_text):
         raise RuntimeError("model unavailable")
     cands = make_candidate("The floods rose.")
-    kept, dropped = filter_by_relevance(cands, bad, 0.40)
-    assert (kept, dropped) == ([], 1)
+    failed = []
+    kept, dropped = filter_by_relevance(cands, bad, 0.40, failed)
+    assert (kept, dropped, failed) == ([], 1, cands)

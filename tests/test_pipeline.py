@@ -296,6 +296,25 @@ def test_extract_counts_discards_by_reason(tmp_path):
             counts["discarded_no_date_no_place"]) == (1, 1, 1)
 
 
+def test_scan_counts_scorer_failures_among_dropped(monkeypatch, tmp_path):
+    scores = {"kept": 0.9, "below": 0.1}
+
+    def scorer(text):
+        return scores[text.split()[1]]  # KeyError on "failed"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"article_id": key, "title": "Floods",
+                    "paragraphs": [f"Floods {key} here."]}) + "\n"
+        for key in ("kept", "below", "failed")))
+    monkeypatch.setattr(PipelineConfig, "make_scorer", lambda self: scorer)
+    manifest = run_pipeline(PipelineConfig(corpus=corpus), tmp_path / "run",
+                            stages=["scan"])
+    assert manifest["stages"][0]["counts"] == {
+        "articles": 3, "article_rejects": 0, "candidates_extracted": 3,
+        "candidates_scored": 1, "candidates_dropped": 2,
+        "candidates_scorer_failed": 1}
+
+
 def _resolved_row(out, span):
     rows = [json.loads(line) for line in (out / "resolved.jsonl").read_text().splitlines()]
     return {(r["iso3"], r["place_stage"]) for r in rows if r["place_span"] == span}
@@ -357,14 +376,23 @@ def test_shuffled_corpus_changes_no_artifact(unshuffled, tmp_path_factory, lines
     assert _outputs(out) == unshuffled
 
 
+def _two_streams(data):
+    """Two bz2 streams back to back, as pbzip2 and multistream dumps are written."""
+    half = len(data) // 2
+    return bz2.compress(data[:half]) + bz2.compress(data[half:])
+
+
 @pytest.mark.parametrize("name, pack, plain", [
     ("dump.bz2", bz2.compress, MEDIAWIKI_XML.encode()),
+    ("dump.xml.bz2", _two_streams, MEDIAWIKI_XML.encode()),
     ("dump.xml", lambda data: b"\xef\xbb\xbf" + data, MEDIAWIKI_XML.encode()),
     ("corpus.jsonl.gz", gzip.compress, (E2E / "corpus.jsonl").read_bytes()),
-], ids=["xml-bz2", "xml-bom", "jsonl-gz"])
+    ("corpus.jsonl.bz2", bz2.compress, (E2E / "corpus.jsonl").read_bytes()),
+], ids=["xml-bz2", "xml-bz2-two-streams", "xml-bom", "jsonl-gz", "jsonl-bz2"])
 def test_corpus_format_is_read_from_the_corpus(tmp_path, name, pack, plain):
-    """A dump however named, with a byte-order mark, or a gzipped JSONL
-    corpus scans as its plain, uncompressed form does."""
+    """A dump however named, in one bz2 stream or two, with a byte-order
+    mark, or a compressed JSONL corpus scans as its plain, uncompressed
+    form does."""
     candidates = []
     for corpus, data in ((tmp_path / "plain", plain), (tmp_path / name, pack(plain))):
         corpus.write_bytes(data)
@@ -372,3 +400,14 @@ def test_corpus_format_is_read_from_the_corpus(tmp_path, name, pack, plain):
         run_pipeline(PipelineConfig(corpus=corpus), out, stages=["scan"])
         candidates.append((out / ARTIFACTS["scan"]).read_bytes())
     assert candidates[0] and candidates[1] == candidates[0]
+
+
+def test_bz2_corpus_is_decompressed_in_whole_pieces(tmp_path):
+    """One read serves the parser's small reads from a full piece, not one
+    decompress call each."""
+    plain = MEDIAWIKI_XML.encode()
+    path = tmp_path / "dump.xml.bz2"
+    path.write_bytes(bz2.compress(plain * (pipeline._BZ2_PIECE // len(plain) + 2)))
+    with pipeline._open_maybe_compressed(path) as fh:
+        assert fh.read(16384) == (plain * (16384 // len(plain) + 1))[:16384]
+        assert len(fh.peek()) == pipeline._BZ2_PIECE - 16384
