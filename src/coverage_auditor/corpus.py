@@ -101,11 +101,11 @@ def ingest_articles(stream: BinaryIO | TextIO, format: str,
 
 def _ingest_jsonl(stream, rejects) -> Iterator[Article]:
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        if not raw.strip():
-            continue
         try:
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")  # a line that is not UTF-8 is a reject
+            if not raw.strip():
+                continue
             obj = json.loads(raw)
             citations = [Citation(c["paragraph_index"], c.get("offset", 0), c["url"])
                          for c in obj.get("citations", [])]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -397,24 +396,27 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
     }
 
 
-# A corpus that cannot be decompressed (OSError, EOFError, zlib.error),
-# decoded (UnicodeDecodeError) or parsed (ParseError) fails scan under its name.
-_CORPUS_READ_ERRORS = (OSError, EOFError, zlib.error, UnicodeDecodeError, ParseError)
+# A corpus that cannot be decompressed (OSError, EOFError, zlib.error) or
+# parsed (ParseError) fails scan under its name.
+_CORPUS_READ_ERRORS = (OSError, EOFError, zlib.error, ParseError)
 
-# Bytes of a .bz2 corpus decompressed per call. The XML parser reads 16 KiB
-# at a time; one decompress call per such read (bz2.open's way) made 108
-# calls on perfbench's wiki_sparse corpus (46 KB of bz2), for twice the time
-# of one whole-file call. 512 KiB pieces raised articles_per_s there by
-# 12-23% in every round of pairs, for about 1.1 MiB of peak RSS; 256 KiB
-# gave +8% and 1 MiB +7%.
+# Bytes of a .bz2 corpus that bz2reader's thread decompresses per read
+# and hands to scan at once. One decompress call per 16 KiB read of the XML
+# parser (bz2.open's way) made 108 calls on perfbench's wiki_sparse corpus
+# (46 KB of bz2); whole pieces make a few, and the parser's reads are served
+# from them. At most five pieces' worth (2.5 MiB) is held at once, however
+# large the corpus: two queued, one being parsed, and the one being filled,
+# which BZ2File holds twice while it copies its output in.
 _BZ2_PIECE = 512 << 10
 
 
 def _open_maybe_compressed(path: Path):
+    """A binary stream of the corpus at ``path``, decompressed by its suffix;
+    a ``.bz2`` one is decompressed ahead on a thread from this call on."""
     suffix = path.suffix.lower()
     if suffix == ".bz2":
-        import bz2
-        return io.BufferedReader(bz2.BZ2File(path), buffer_size=_BZ2_PIECE)
+        from .bz2reader import open_bz2
+        return open_bz2(path, _BZ2_PIECE)
     if suffix == ".gz":
         import gzip
         return gzip.open(path, "rb")

@@ -402,12 +402,48 @@ def test_corpus_format_is_read_from_the_corpus(tmp_path, name, pack, plain):
     assert candidates[0] and candidates[1] == candidates[0]
 
 
-def test_bz2_corpus_is_decompressed_in_whole_pieces(tmp_path):
-    """One read serves the parser's small reads from a full piece, not one
-    decompress call each."""
-    plain = MEDIAWIKI_XML.encode()
+@pytest.mark.parametrize("name, pack", [("corpus.jsonl", bytes),
+                                        ("corpus.jsonl.bz2", bz2.compress)],
+                         ids=["jsonl", "jsonl-bz2"])
+def test_jsonl_line_that_is_not_utf8_is_a_reject(tmp_path, name, pack):
+    """It is a reject of its own, as any other bad line is, not scan's failure."""
+    lines = (E2E / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    candidates = []
+    for corpus, data in ((tmp_path / name, b"\xff" + b"".join(lines)),
+                         (tmp_path / f"rest-{name}", b"".join(lines[1:]))):
+        corpus.write_bytes(pack(data))
+        out = tmp_path / f"run-{corpus.name}"
+        manifest = run_pipeline(PipelineConfig(corpus=corpus), out, stages=["scan"])
+        candidates.append((out / ARTIFACTS["scan"]).read_bytes())
+        counts = manifest["stages"][0]["counts"]
+        assert (counts["articles"], counts["article_rejects"]) == (
+            len(lines) - 1, 1 if corpus.name == name else 0)
+    assert candidates[0] and candidates[0] == candidates[1]
+
+
+def test_bz2_corpus_is_decompressed_in_whole_pieces(tmp_path, monkeypatch):
+    """The parser's 16 KiB reads are served from whole pieces, not one
+    decompress call each: on a corpus that compresses well, at most one
+    call per piece and one more per stream."""
+    calls = []
+    decompressor = bz2.BZ2Decompressor
+
+    class Counting:
+        def __init__(self):
+            self._decompressor = decompressor()
+
+        def decompress(self, data, max_length=-1):
+            calls.append(max_length)
+            return self._decompressor.decompress(data, max_length)
+
+        def __getattr__(self, name):
+            return getattr(self._decompressor, name)
+    monkeypatch.setattr(bz2, "BZ2Decompressor", Counting)
+    page = MEDIAWIKI_XML.encode()
+    plain = page * (3 * pipeline._BZ2_PIECE // len(page) + 1)
     path = tmp_path / "dump.xml.bz2"
-    path.write_bytes(bz2.compress(plain * (pipeline._BZ2_PIECE // len(plain) + 2)))
+    path.write_bytes(_two_streams(plain))
     with pipeline._open_maybe_compressed(path) as fh:
-        assert fh.read(16384) == (plain * (16384 // len(plain) + 1))[:16384]
-        assert len(fh.peek()) == pipeline._BZ2_PIECE - 16384
+        assert b"".join(iter(lambda: fh.read(16384), b"")) == plain
+    pieces = -(-len(plain) // pipeline._BZ2_PIECE)
+    assert pieces == 4 and len(calls) <= pieces + 2
