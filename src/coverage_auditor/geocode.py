@@ -265,12 +265,13 @@ class GeoCache:
             self._answers = {query: iso3 for stage, query, iso3 in rows
                              if stage == self._STAGE}
 
-    def get(self, placename: str, default=None):
-        """The cached iso3 or None, or ``default`` for an uncached name."""
-        return self._answers.get(normalize_name(placename), default)
+    def get(self, placename: str, default=None, key: str | None = None):
+        """The cached iso3 or None, or ``default`` for an uncached name.
+        ``key``: ``normalize_name(placename)``, if the caller holds it."""
+        return self._answers.get(normalize_name(placename) if key is None else key, default)
 
-    def put(self, placename: str, result: str | None) -> None:
-        query = normalize_name(placename)
+    def put(self, placename: str, result: str | None, key: str | None = None) -> None:
+        query = normalize_name(placename) if key is None else key
         row = json.dumps({
             "query": query, "result": result, "stage": self._STAGE,
             "fetched_at": datetime.now(timezone.utc).isoformat(),
@@ -312,15 +313,24 @@ class CascadeResolver:
         self._lock = threading.Lock()
         # normalized name -> (country or None, GAZETTEER or REMOTE_GEOCODER)
         self._answers: dict[str, tuple[CountryCode | None, ResolverStage]] = {}
+        self._keys: dict[str, str] = {}  # raw spelling -> normalized name
 
-    def _answer(self, name: str) -> tuple[CountryCode | None, ResolverStage]:
-        """What ``name`` alone resolves to: kb, then the cache (unless
-        refreshing), then the geocoder. May run on prefetch's pool threads."""
+    def _key(self, name: str) -> str:
+        """``normalize_name(name)``, computed once per spelling."""
+        key = self._keys.get(name)
+        if key is None:
+            key = self._keys[name] = normalize_name(name)
+        return key
+
+    def _answer(self, name: str, key: str) -> tuple[CountryCode | None, ResolverStage]:
+        """What ``name`` (normalized: ``key``) alone resolves to: kb, then the
+        cache (unless refreshing), then the geocoder. May run on prefetch's
+        pool threads."""
         country = kb_lookup(name, self.kb)
         if country is not None:
             return country, ResolverStage.GAZETTEER
         stage = ResolverStage.REMOTE_GEOCODER
-        iso3 = _UNCACHED if self.refresh else self.cache.get(name, _UNCACHED)
+        iso3 = _UNCACHED if self.refresh else self.cache.get(name, _UNCACHED, key)
         if iso3 is not _UNCACHED:
             return (self.registry.get_optional(iso3) if iso3 else None), stage
         try:
@@ -330,7 +340,7 @@ class CascadeResolver:
             with self._lock:
                 self.failures += 1
             return None, stage
-        self.cache.put(name, country.iso3 if country else None)
+        self.cache.put(name, country.iso3 if country else None, key)
         return country, stage
 
     def prefetch(self, placenames: Iterable[str], workers: int) -> None:
@@ -339,22 +349,22 @@ class CascadeResolver:
         on the calling thread."""
         todo: dict[str, str] = {}  # normalized -> first raw spelling
         for name in placenames:
-            key = normalize_name(name)
+            key = self._key(name)
             if key not in self._answers:
                 todo.setdefault(key, name)
         if workers <= 1:
-            self._answers.update(zip(todo, map(self._answer, todo.values())))
+            self._answers.update(zip(todo, map(self._answer, todo.values(), todo)))
             return
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            self._answers.update(zip(todo, pool.map(self._answer, todo.values())))
+            self._answers.update(zip(todo, pool.map(self._answer, todo.values(), todo)))
 
     def resolve(self, placename: str, sentence: str = "",
                 title: str = "") -> PlaceMention:
-        key = normalize_name(placename)
+        key = self._key(placename)
         if key not in self._answers:
-            self._answers[key] = self._answer(placename)
+            self._answers[key] = self._answer(placename, key)
         country, stage = self._answers[key]
         if country is None:
             country = context_infer(sentence, title, self.inferencer)

@@ -61,7 +61,7 @@ class ParseResult:
     excluded: list[RejectedRow]  # rows dropped by source-specific filters
 
 
-@json_row(encode={"native_ids": "[list(pair) for pair in {}]"})
+@json_row()
 @dataclass(slots=True)
 class ConsolidatedEvent:
     event_id: str

@@ -297,12 +297,13 @@ def _replacing(path: Path, newline: str | None = None):
 
 
 def write_jsonl(path: Path, rows) -> int:
-    """Write one compact, key-sorted JSON object per line; return the count."""
+    """Write one compact, key-sorted JSON object per line: a row type's
+    ``to_json_line()``, or a dict through ``_ENCODER``; return the count."""
     n = 0
     encode = _ENCODER.encode
     with _replacing(path) as fh:
         for row in rows:
-            fh.write(encode(row) + "\n")
+            fh.write((encode(row) if type(row) is dict else row.to_json_line()) + "\n")
             n += 1
     return n
 
@@ -348,7 +349,7 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[l
     events = consolidate(resolved)
     kept = filter_multi_source(events, cfg.min_sources)
 
-    write_jsonl(out_dir / ARTIFACTS["consolidate"], (e.to_json_dict() for e in kept))
+    write_jsonl(out_dir / ARTIFACTS["consolidate"], kept)
     write_jsonl(out_dir / "gt_rejects.jsonl", rejects + excluded)
     counts = {
         "records_parsed": len(records),
@@ -385,7 +386,7 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
     retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold,
                                             scorer_failed)
     retained.sort(key=lambda c: (c.article_id, c.paragraph_index, c.sentence_index))
-    write_jsonl(out_dir / ARTIFACTS["scan"], (c.to_json_dict() for c in retained))
+    write_jsonl(out_dir / ARTIFACTS["scan"], retained)
     return retained, {
         "articles": len(occurrences) - len(shared),
         "article_rejects": len(article_rejects),
@@ -470,7 +471,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list,
         discarded["no_date_no_place" if no_date and no_place
                   else "no_date" if no_date else "no_place"] += 1
 
-    write_jsonl(out_dir / ARTIFACTS["extract"], (rc.to_json_dict() for rc in resolved))
+    write_jsonl(out_dir / ARTIFACTS["extract"], resolved)
     counts = {
         "candidates_in": len(candidates),
         "candidates_resolved": resolved_candidates,
@@ -492,7 +493,7 @@ def stage_match(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, d
     matches = sorted(match_all(held["extract"], index, strategy, cfg.window_days),
                      key=attrgetter("event_id", "article_id", "sentence_index",
                                     "matched_date"))
-    write_jsonl(out_dir / ARTIFACTS["match"], (m.to_json_dict() for m in matches))
+    write_jsonl(out_dir / ARTIFACTS["match"], matches)
     return matches, {
         "matches": len(matches),
         "events_matched": len({m.event_id for m in matches}),

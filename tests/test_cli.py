@@ -1,6 +1,7 @@
 import bz2
 import configparser
 import gzip
+import hashlib
 import json
 import re
 import shutil
@@ -51,6 +52,25 @@ def test_rerun_is_byte_identical(finished_run, tmp_path):
     assert run_cli("run", "--config", E2E / "config.ini", "--out", other) == 0
     for name in ARTIFACT_NAMES:
         assert (finished_run / name).read_bytes() == (other / name).read_bytes(), name
+
+
+# The sha256 of what a fresh run of the e2e fixture writes. A change to how
+# rows are written that gives the same bytes on every run passes the test
+# above but not this one. Update a digest only with a change that means to
+# change that artifact.
+GOLDEN = {
+    "events.jsonl": "3e605a5f86961dfc884f07a67023a0a63e8c23c95aa2ef9e7e384417addbd47b",
+    "candidates.jsonl": "df9952af93f81b5553f03ec661ebf47d7281815cf517c7e4ba1a378636554f69",
+    "resolved.jsonl": "5eef433067386678d09c58b51f2547f880e66c5349a0f908be3d4987e5ec5c75",
+    "matches.jsonl": "33d508f167379ff1151c3aa778c7db0817efb9f8504899616a2295ccb75c3ba3",
+    "analysis.json": "108f8ce7748afed946ad00a0df6eb539500d510780fda1de4df8597ad918e269",
+    "gt_rejects.jsonl": "2a3e96060d52c5ac4044847fa46fd3f3a539162f92c75fa170b6b31a9b0af577",
+}
+
+
+def test_fresh_run_writes_the_golden_artifacts(finished_run):
+    assert {name: hashlib.sha256((finished_run / name).read_bytes()).hexdigest()
+            for name in GOLDEN} == GOLDEN
 
 
 def test_resume_skips_completed_stages(finished_run, capsys):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from coverage_auditor import pipeline
 from coverage_auditor.cli import main
 from coverage_auditor.analysis import StratumReport
-from coverage_auditor.corpus import CandidateSentence
 from coverage_auditor.countries import CountryRegistry
 from coverage_auditor.dates import DateMention
 from coverage_auditor.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineConfig,
@@ -96,24 +95,27 @@ def test_end_date_past_the_calendar_is_rejected(fresh, tmp_path):
         assert (out / ARTIFACTS[stage]).read_bytes() == (fresh / ARTIFACTS[stage]).read_bytes()
 
 
-def test_stage_failing_mid_write_leaves_no_artifact(fresh, tmp_path, monkeypatch):
-    to_json_dict = CandidateSentence.to_json_dict
+@pytest.mark.parametrize("stage", [s for s in STAGES if STAGE_TABLE[s].decode])
+def test_stage_failing_mid_write_leaves_no_artifact(fresh, tmp_path, monkeypatch, stage):
+    k, row_type = STAGES.index(stage), STAGE_TABLE[stage].decode
+    to_json_line = row_type.to_json_line
     written = []
 
     def failing_after_three(self):
         if len(written) == 3:
             raise RuntimeError("disk gone")
         written.append(self)
-        return to_json_dict(self)
+        return to_json_line(self)
     out = tmp_path / "run"
     with monkeypatch.context() as m:
-        m.setattr(CandidateSentence, "to_json_dict", failing_after_three)
+        m.setattr(row_type, "to_json_line", failing_after_three)
         assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 4
-    assert sorted(p.name for p in out.iterdir()) == [
-        "events.jsonl", "gt_rejects.jsonl", "manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [ARTIFACTS[s] for s in STAGES[:k]] + ["gt_rejects.jsonl"] * (k > 0)
+        + ["manifest.json"])
 
     assert main(["run", "--config", str(E2E / "config.ini"), "--out", str(out)]) == 0
-    assert _statuses(out) == ["skipped"] + ["ran"] * 4
+    assert _statuses(out) == ["skipped"] * k + ["ran"] * (len(STAGES) - k)
     assert _outputs(out) == _outputs(fresh)
 
 
