@@ -84,17 +84,21 @@ def sniff_format(stream: BinaryIO) -> str:
 
 
 def ingest_articles(stream: BinaryIO | TextIO, format: str,
-                    rejects: list[ArticleReject]) -> Iterator[Article]:
+                    rejects: list[ArticleReject],
+                    redirects: list[str] | None = None) -> Iterator[Article]:
     """Stream articles from a JSONL file or MediaWiki XML dump.
 
     Malformed entries are appended to ``rejects`` and the stream goes on.
-    Every main-namespace page of a dump is yielded, but a page that
-    ``extract_candidates`` would skip whole has no paragraphs or citations.
+    Every main-namespace page of a dump but a redirect is yielded, and a
+    page that ``extract_candidates`` would skip whole has no paragraphs or
+    citations. A redirect names its target's subject and holds no prose:
+    its title is appended to ``redirects``, if given.
     """
     if format == "jsonl":
         yield from _ingest_jsonl(stream, rejects)
     elif format == "xml":
-        yield from _ingest_mediawiki_xml(stream, rejects)
+        yield from _ingest_mediawiki_xml(stream, rejects,
+                                         [] if redirects is None else redirects)
     else:
         raise ValueError(f"unknown corpus format {format!r}")
 
@@ -127,8 +131,11 @@ def _local_tag(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
-    """Parse <page> elements, keeping main-namespace pages only."""
+def _ingest_mediawiki_xml(stream, rejects, redirects) -> Iterator[Article]:
+    """Parse <page> elements, keeping main-namespace pages that are not
+    redirects. A redirect page carries a ``<redirect>`` element, or, in a
+    dump without the element, its text starts with the ``#REDIRECT`` magic
+    word."""
     open_elems = []  # the element each open tag started, outermost first
     for event, elem in ET.iterparse(stream, events=("start", "end")):
         if event == "start":
@@ -142,7 +149,7 @@ def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
         fields = {}
         for child in elem.iter():
             tag = _local_tag(child.tag)
-            if tag in ("title", "ns", "id", "text") and tag not in fields:
+            if tag in ("title", "ns", "id", "text", "redirect") and tag not in fields:
                 fields[tag] = child.text or ""
         elem.clear()
         title = fields.get("title", "")
@@ -151,7 +158,11 @@ def _ingest_mediawiki_xml(stream, rejects) -> Iterator[Article]:
                 continue  # non-article namespace
             if not title:
                 raise ValueError("page without title")
-            paragraphs, citations = _strip_page(title, fields.get("text", ""))
+            text = fields.get("text", "")
+            if "redirect" in fields or text.lstrip()[:9].upper() == "#REDIRECT":
+                redirects.append(title)
+                continue
+            paragraphs, citations = _strip_page(title, text)
             yield Article(
                 article_id=fields.get("id", "").strip() or title,
                 title=title,

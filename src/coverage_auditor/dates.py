@@ -8,7 +8,7 @@ context level contains exactly one distinct year token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection
 
@@ -192,15 +192,15 @@ def infer_year(mention: DateMention, sentence: str,
         return mention
     sentence_years = distinct_years(sentence)
     if len(sentence_years) == 1:
-        return replace(mention, year=next(iter(sentence_years)),
-                       year_source=YearSource.SENTENCE)
-    if sentence_years:
+        years, source = sentence_years, YearSource.SENTENCE
+    elif sentence_years:
         return mention  # several years in the sentence: ambiguous
-    if len(paragraph_years) == 1:
-        return replace(mention, year=next(iter(paragraph_years)),
-                       year_source=YearSource.PARAGRAPH)
-    title_years = distinct_years(title)
-    if len(title_years) == 1:
-        return replace(mention, year=next(iter(title_years)),
-                       year_source=YearSource.TITLE)
-    return mention
+    elif len(paragraph_years) == 1:
+        years, source = paragraph_years, YearSource.PARAGRAPH
+    else:
+        years, source = distinct_years(title), YearSource.TITLE
+        if len(years) != 1:
+            return mention
+    # Built directly: dataclasses.replace takes over twice as long.
+    return DateMention(mention.raw_span, mention.day, mention.month,
+                       next(iter(years)), source)

@@ -3,7 +3,7 @@
 Stages, in order: local knowledge-base lookup, remote geocoder query,
 whole-text country inference. The first stage that succeeds wins. The
 first two depend on the placename alone and are answered once per distinct
-name; only the geocoder's answers (a country, or none) are cached across
+name; only a live geocoder's answers (a country, or none) are cached across
 runs. Inference depends on the sentence, so it runs for every mention the
 name alone leaves without a country, and is never cached.
 """
@@ -40,7 +40,6 @@ class GeocoderResult:
 
 
 class GeocoderClient(Protocol):
-    identity: str  # which geocoder answers: the endpoint, or replay file digest
     max_inflight: int  # requests worth overlapping; 1 for answers held in memory
 
     def geocode(self, query: str) -> list[GeocoderResult]: ...
@@ -72,8 +71,9 @@ class KnowledgeBase:
             entries[normalize_name(name)] = (iso3, flag.lower() == "true")
         return cls(entries, registry)
 
-    def lookup(self, placename: str) -> CountryCode | None:
-        entry = self._entries.get(normalize_name(placename))
+    def lookup(self, placename: str, key: str | None = None) -> CountryCode | None:
+        """``key``: ``normalize_name(placename)``, if the caller holds it."""
+        entry = self._entries.get(normalize_name(placename) if key is None else key)
         if entry is None:
             return None
         iso3, has_enwiki = entry
@@ -82,9 +82,10 @@ class KnowledgeBase:
         return self._registry.get_optional(iso3)
 
 
-def kb_lookup(placename: str, kb: KnowledgeBase) -> CountryCode | None:
+def kb_lookup(placename: str, kb: KnowledgeBase,
+              key: str | None = None) -> CountryCode | None:
     """Exact (case-normalized) lookup in the local knowledge base."""
-    return kb.lookup(placename)
+    return kb.lookup(placename, key)
 
 
 # --- remote geocoding --------------------------------------------------------
@@ -95,7 +96,6 @@ class ReplayGeocoderClient:
     max_inflight = 1
 
     def __init__(self, path: Path):
-        self.identity = "replay:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
         self._responses: dict[str, list[GeocoderResult]] = dict(read_jsonl(
             path, lambda obj: (normalize_name(obj["query"]), [
                 GeocoderResult(r["display_name"], r.get("iso3"),
@@ -127,7 +127,6 @@ class LiveGeocoderClient:
 
         self.endpoint = (endpoint or os.environ.get(DEFAULT_ENDPOINT_ENV)
                          or DEFAULT_ENDPOINT)
-        self.identity = self.endpoint
         proxy = proxy_variable(self.endpoint)
         if proxy is not None:
             raise ValueError(f"{proxy} is set, but the live geocoder cannot go "
@@ -239,8 +238,9 @@ def context_infer(sentence: str, title: str,
 # --- cache and cascade -------------------------------------------------------
 
 class GeoCache:
-    """Append-only JSONL cache of one geocoder's answers (a file per
-    geocoder, see ``geocache_path``), keyed by normalized query.
+    """Append-only JSONL cache of one live geocoder's answers (a file per
+    endpoint, see ``geocache_path``), keyed by normalized query; without a
+    path, the answers of one run, held in memory.
 
     A row holds an iso3 or null ("no result with a country"); kb hits,
     context inferences and failed lookups are never rows, and rows of any
@@ -272,22 +272,24 @@ class GeoCache:
 
     def put(self, placename: str, result: str | None, key: str | None = None) -> None:
         query = normalize_name(placename) if key is None else key
+        if self.path is None:
+            self._answers[query] = result
+            return
         row = json.dumps({
             "query": query, "result": result, "stage": self._STAGE,
             "fetched_at": datetime.now(timezone.utc).isoformat(),
         }, sort_keys=True)
         with self._lock:
             self._answers[query] = result
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(row + "\n")
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(row + "\n")
 
 
-def geocache_path(cache_dir: Path, geocoder_identity: str) -> Path:
-    """The cache file of one geocoder, named by a digest of its identity,
-    so that one endpoint's or replay file's answers never answer for
+def geocache_path(cache_dir: Path, endpoint: str) -> Path:
+    """The cache file of one live geocoder, named by a digest of its
+    endpoint URL, so that one endpoint's answers never answer for
     another's."""
-    digest = hashlib.sha256(geocoder_identity.encode("utf-8")).hexdigest()[:16]
+    digest = hashlib.sha256(endpoint.encode("utf-8")).hexdigest()[:16]
     return cache_dir / f"geocache-{digest}.jsonl"
 
 
@@ -298,6 +300,8 @@ class CascadeResolver:
     """kb_lookup -> remote_geocode -> context_infer, first success wins.
 
     ``failures`` counts names whose geocoder lookup failed after retries.
+    Only the thread that calls ``prefetch`` and ``resolve`` writes to the
+    cache; prefetch's pool threads only look names up.
     """
 
     def __init__(self, kb: KnowledgeBase, client: GeocoderClient,
@@ -322,49 +326,60 @@ class CascadeResolver:
             key = self._keys[name] = normalize_name(name)
         return key
 
-    def _answer(self, name: str, key: str) -> tuple[CountryCode | None, ResolverStage]:
+    def _lookup(self, name: str, key: str) -> tuple[CountryCode | None, ResolverStage, bool]:
         """What ``name`` (normalized: ``key``) alone resolves to: kb, then the
-        cache (unless refreshing), then the geocoder. May run on prefetch's
-        pool threads."""
-        country = kb_lookup(name, self.kb)
+        cache (unless refreshing), then the geocoder; and whether it is the
+        geocoder's answer, which ``_record`` caches. Writes no cache, so it
+        may run on prefetch's pool threads."""
+        country = kb_lookup(name, self.kb, key)
         if country is not None:
-            return country, ResolverStage.GAZETTEER
+            return country, ResolverStage.GAZETTEER, False
         stage = ResolverStage.REMOTE_GEOCODER
         iso3 = _UNCACHED if self.refresh else self.cache.get(name, _UNCACHED, key)
         if iso3 is not _UNCACHED:
-            return (self.registry.get_optional(iso3) if iso3 else None), stage
+            return (self.registry.get_optional(iso3) if iso3 else None), stage, False
         try:
             country = remote_geocode(name, self.client, registry=self.registry)
         except Exception as exc:
             log.warning("geocoder failed for %r after retries: %s", name, exc)
             with self._lock:
                 self.failures += 1
-            return None, stage
-        self.cache.put(name, country.iso3 if country else None, key)
-        return country, stage
+            return None, stage, False
+        return country, stage, True
+
+    def _record(self, name: str, key: str, country: CountryCode | None,
+                stage: ResolverStage, fetched: bool) -> None:
+        """Hold ``_lookup``'s answer for ``key``, and cache a geocoder's."""
+        if fetched:
+            self.cache.put(name, country.iso3 if country else None, key)
+        self._answers[key] = country, stage
 
     def prefetch(self, placenames: Iterable[str], workers: int) -> None:
         """Answer the distinct names not answered yet, ``workers`` at a
-        time, so that geocoder requests overlap; with one worker, in order
-        on the calling thread."""
+        time, so that geocoder requests overlap, each recorded on this
+        thread as it completes; with one worker, in order on this thread."""
         todo: dict[str, str] = {}  # normalized -> first raw spelling
         for name in placenames:
             key = self._key(name)
             if key not in self._answers:
                 todo.setdefault(key, name)
         if workers <= 1:
-            self._answers.update(zip(todo, map(self._answer, todo.values(), todo)))
+            for key, name in todo.items():
+                self._record(name, key, *self._lookup(name, key))
             return
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor, as_completed
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            self._answers.update(zip(todo, pool.map(self._answer, todo.values(), todo)))
+            pending = {pool.submit(self._lookup, name, key): (name, key)
+                       for key, name in todo.items()}
+            for done in as_completed(pending):
+                self._record(*pending[done], *done.result())
 
     def resolve(self, placename: str, sentence: str = "",
                 title: str = "") -> PlaceMention:
         key = self._key(placename)
         if key not in self._answers:
-            self._answers[key] = self._answer(placename, key)
+            self._record(placename, key, *self._lookup(placename, key))
         country, stage = self._answers[key]
         if country is None:
             country = context_infer(sentence, title, self.inferencer)

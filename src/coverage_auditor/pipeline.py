@@ -192,8 +192,8 @@ class PipelineConfig:
                 for v in value if isinstance(value, list) else [value]:
                     if v not in s.choices:
                         raise ConfigError(f"{s.field} must be in {s.choices}, got {v!r}")
-            # Every file setting but the cache directory, which extract
-            # creates, names an input.
+            # Every file setting but the cache directory, which a live
+            # extract creates, names an input.
             if (s.kind == "Path | None" and s.field != "cache_dir"
                     and value is not None and not value.exists()):
                 raise ConfigError(f"{s.ini.partition('.')[2]} file not found: {value}")
@@ -269,7 +269,6 @@ SETTINGS = tuple(Setting(f.name, *f.metadata["setting"], f.type)
 
 
 class _EmptyClient:
-    identity = "replay:"
     max_inflight = 1
 
     def geocode(self, query: str):
@@ -365,11 +364,13 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[l
 def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, dict]:
     scorer = cfg.make_scorer()
     article_rejects = []
+    redirects: list[str] = []
     candidates: list[CandidateSentence] = []
     occurrences: dict[str, int] = {}  # article_id -> articles that carry it
     try:
         with _open_maybe_compressed(cfg.corpus) as fh:
-            for article in ingest_articles(fh, sniff_format(fh), article_rejects):
+            for article in ingest_articles(fh, sniff_format(fh), article_rejects,
+                                           redirects):
                 occurrences[article.article_id] = occurrences.get(article.article_id, 0) + 1
                 candidates.extend(extract_candidates(article, cfg.keyword_substring))
     except _CORPUS_READ_ERRORS as exc:
@@ -389,6 +390,7 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
     write_jsonl(out_dir / ARTIFACTS["scan"], retained)
     return retained, {
         "articles": len(occurrences) - len(shared),
+        "articles_redirect": len(redirects),
         "article_rejects": len(article_rejects),
         "candidates_extracted": extracted,
         "candidates_scored": len(retained),
@@ -430,12 +432,14 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list,
     spotter = GazetteerSpotter(gazetteer)
     kb = KnowledgeBase.load(registry, cfg.kb_path)
     client = cfg.make_geocoder_client(registry)
+    # Only a live geocoder's answers cost a request: a replay run's stay in
+    # memory, as the replay file already holds them.
+    cache = None
     cache_dir = cfg.cache_dir or _env_cache_dir()
-    cache_path = None
-    if cache_dir is not None:
+    if cfg.geocoder == "live" and cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_path = geocache_path(cache_dir, client.identity)
-    resolver = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path),
+        cache = GeoCache(geocache_path(cache_dir, client.endpoint))
+    resolver = CascadeResolver(kb, client, registry, cache=cache,
                                refresh=cfg.refresh_cache)
 
     candidates = held["scan"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from coverage_auditor.cli import main
-from coverage_auditor.geocode import ReplayGeocoderClient, geocache_path
+from coverage_auditor.geocode import geocache_path
 from coverage_auditor.pipeline import SETTINGS, STAGE_TABLE, STAGES
 from conftest import FIXTURES
 from test_corpus import MEDIAWIKI_XML
@@ -70,6 +70,24 @@ GOLDEN = {
 
 def test_fresh_run_writes_the_golden_artifacts(finished_run):
     assert {name: hashlib.sha256((finished_run / name).read_bytes()).hexdigest()
+            for name in GOLDEN} == GOLDEN
+
+
+def test_replay_run_writes_no_geocache(finished_run, tmp_path, monkeypatch):
+    """Only a live geocoder's answers are cached: neither --cache-dir nor
+    COVAUD_CACHE_DIR makes a replay run create a cache, and its artifacts
+    are a run's without one."""
+    monkeypatch.setenv("COVAUD_CACHE_DIR", str(tmp_path / "env-cache"))
+    out = tmp_path / "cached"
+    assert run_cli("run", "--config", E2E / "config.ini", "--out", out) == 0
+    resolved = (out / "resolved.jsonl").read_bytes()
+    assert run_cli("extract", "--config", E2E / "config.ini", "--out", out,
+                   "--cache-dir", tmp_path / "cache") == 0
+    assert (out / "resolved.jsonl").read_bytes() == resolved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cached", "run"]
+    assert {name: (out / name).read_bytes() for name in GOLDEN} == {
+        name: (finished_run / name).read_bytes() for name in GOLDEN}
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in GOLDEN} == GOLDEN
 
 
@@ -354,19 +372,28 @@ def _replay_row_without_results(run, tmp_path):
             f"replay.jsonl line {text.count(chr(10))}: results: missing")
 
 
+# A loopback port nothing listens on: the live geocoder of the geocache
+# case, whose cache fails to load before any request is made.
+DEAD_ENDPOINT = "http://127.0.0.1:9/search"
+
+
 def _geocache_row_without_stage(run, tmp_path):
-    identity = ReplayGeocoderClient(E2E / "replay.jsonl").identity
-    cache = geocache_path(tmp_path, identity)
+    cache = geocache_path(tmp_path, DEAD_ENDPOINT)
     cache.write_text('{"query": "x", "result": null}\n', encoding="utf-8")
-    return ["--cache-dir", tmp_path], f"{cache.name} line 1: stage: missing"
+    return (["--geocoder", "live", "--cache-dir", tmp_path],
+            f"{cache.name} line 1: stage: missing")
 
 
 @pytest.mark.parametrize("damage", [_cut_line_3, _blank_line_2,
                                     _replay_row_without_results, _geocache_row_without_stage],
                          ids=["cut short", "blank line", "replay row", "geocache row"])
-def test_bad_jsonl_line_names_its_file_and_line(finished_run, tmp_path, capsys, damage):
+def test_bad_jsonl_line_names_its_file_and_line(finished_run, tmp_path, capsys, monkeypatch,
+                                                damage):
     """Every JSON-lines file extract reads names the file line, counting
     blank lines, of a row that does not parse or lacks a key."""
+    monkeypatch.setenv("COVAUD_GEOCODER_URL", DEAD_ENDPOINT)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.delenv("no_proxy", raising=False)
     argv, error = damage(finished_run, tmp_path)
     capsys.readouterr()
     assert run_cli("extract", "--config", E2E / "config.ini", "--out", finished_run,

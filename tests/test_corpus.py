@@ -103,6 +103,40 @@ def test_ingest_mediawiki_xml_strips_and_filters_namespaces():
     assert art.citations[0].paragraph_index == 0
 
 
+# Real-dump redirects (export-0.11): one page with the <redirect> element,
+# one from a dump without it, whose magic word is known only by its text.
+KERALA_REDIRECTS = [
+    """<page><title>Kerala floods 2018</title><ns>0</ns><id>201</id>
+    <redirect title="2018 Kerala floods" />
+    <revision><text>#REDIRECT [[2018 Kerala floods]]</text></revision></page>""",
+    """<page><title>Kerala floods 2018</title><ns>0</ns><id>202</id>
+    <revision><text>
+  #redirect [[2018 Kerala floods]] {{R from move}}</text></revision></page>""",
+]
+
+
+@pytest.mark.parametrize("redirect", KERALA_REDIRECTS, ids=["element", "magic word"])
+def test_xml_ingest_skips_redirect_pages(monkeypatch, redirect):
+    calls = []
+    strip = corpus.strip_wikitext
+    monkeypatch.setattr(corpus, "strip_wikitext", lambda text: calls.append(text) or strip(text))
+    dump = MEDIAWIKI_XML.replace("</mediawiki>", redirect + "</mediawiki>")
+    rejects, redirects = [], []
+    articles = list(ingest_articles(io.BytesIO(dump.encode()), "xml", rejects, redirects))
+    assert [a.title for a in articles] == ["2016 Angola floods"]
+    assert (rejects, redirects) == ([], ["Kerala floods 2018"])
+    assert len(calls) == 1  # the redirect's text is never stripped
+
+
+def test_xml_ingest_keeps_a_page_that_only_mentions_a_redirect():
+    page = ("<page><title>Floods</title><ns>0</ns><id>1</id><revision><text>"
+            "Floods hit. #REDIRECT is a magic word.</text></revision></page>")
+    redirects = []
+    [article] = ingest_articles(io.BytesIO(f"<mediawiki>{page}</mediawiki>".encode()),
+                                "xml", [], redirects)
+    assert redirects == [] and article.paragraphs == ["Floods hit. #REDIRECT is a magic word."]
+
+
 def test_xml_ingest_does_not_keep_finished_pages():
     page = ("<page><title>Page {i}</title><ns>0</ns><id>{i}</id>"
             "<revision><text>{body}</text></revision></page>")

@@ -18,6 +18,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 
 import coverage_auditor
+from coverage_auditor import geocode
 from coverage_auditor.cli import main
 from coverage_auditor.countries import normalize_name
 from coverage_auditor.geocode import (CascadeResolver, GeoCache, GeocoderResult,
@@ -41,6 +42,8 @@ class _Handler(BaseHTTPRequestHandler):
             srv.inflight += 1
             srv.inflight_max = max(srv.inflight_max, srv.inflight)
         time.sleep(srv.delay)
+        if query in srv.held:  # answered once the test sets the event
+            srv.held[query].wait(timeout=30)
         # Leave the in-flight count before answering: the client may start
         # its next request as soon as it has read this one.
         with srv.lock:
@@ -83,6 +86,7 @@ class _Server(ThreadingHTTPServer):
         self.user_agents: list[str] = []
         self.inflight = 0
         self.inflight_max = 0
+        self.held: dict[str, threading.Event] = {}  # query -> its answer's go
 
     @property
     def endpoint(self) -> str:
@@ -271,6 +275,46 @@ print(sorted(m for m in sys.modules if m in ("urllib.request", "http.client", "s
     assert srv.queries == ["Coon Valley"]
 
 
+# Loaded only by the runs that use them: the live transport, the .bz2
+# reader thread, the .gz reader, TLS and the prefetch pool.
+LAZY_MODULES = ["coverage_auditor.httpget", "coverage_auditor.bz2reader", "socket",
+                "ssl", "gzip", "concurrent.futures"]
+
+
+def _loaded_after_run(config, out, env=None):
+    """The LAZY_MODULES a fresh process holds after ``coverage-auditor run``."""
+    script = f"""
+import sys
+from coverage_auditor.cli import main
+assert main(["run", "--config", {str(config)!r}, "--out", {str(out)!r}]) == 0
+print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))
+"""
+    src = str(Path(coverage_auditor.__file__).parents[1])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_runs_import_only_what_they_use(serve, tmp_path):
+    """A replay run of the e2e fixture loads none of the lazy modules; a
+    live run against an http endpoint loads no TLS."""
+    assert _loaded_after_run(E2E / "config.ini", tmp_path / "replay") == "[]"
+
+    srv = serve(_e2e_answers())
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    config = inputs / "config.ini"
+    config.write_text(config.read_text().replace(
+        "geocoder = replay:", "geocoder = live\nmin_delay_ms = 0"))
+    loaded = _loaded_after_run(config, tmp_path / "live",
+                               env={"COVAUD_GEOCODER_URL": srv.endpoint})
+    assert "ssl" not in loaded and "coverage_auditor.httpget" in loaded
+    assert sorted(set(srv.queries)) == ["Coon Valley", "Kyushu"]
+
+
 @pytest.fixture
 def self_signed(tmp_path):
     """A throwaway certificate and key for IP:127.0.0.1, made by openssl."""
@@ -339,6 +383,62 @@ def test_prefetch_keeps_max_inflight(serve, registry, kb):
         assert mention.resolved.iso3 == "BOL"
         assert mention.resolver_stage is ResolverStage.REMOTE_GEOCODER
     assert len(srv.queries) == len(names)  # resolve used the prefetched answers
+
+
+def test_prefetch_records_each_answer_on_the_caller_as_it_arrives(serve, registry, kb,
+                                                                   tmp_path, monkeypatch):
+    """The first name's answer is held back: every other name's row is in
+    the cache file before it arrives, and no pool thread writes the cache."""
+    names = ["First"] + [f"Place {i}" for i in range(6)]
+    srv = serve({n: [_answer(n, "bo")] for n in names})
+    srv.held["First"] = threading.Event()
+    client = LiveGeocoderClient(srv.endpoint, min_delay_ms=0, max_inflight=2,
+                                registry=registry)
+    cache_path = tmp_path / "geocache.jsonl"
+    writers = []
+    put = GeoCache.put
+
+    def recording_put(self, *args):
+        writers.append(threading.current_thread())
+        put(self, *args)
+    monkeypatch.setattr(GeoCache, "put", recording_put)
+    resolver = CascadeResolver(kb, client, registry, cache=GeoCache(cache_path))
+    caller = threading.Thread(target=resolver.prefetch, args=(names, 2))
+    caller.start()
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            rows = cache_path.read_text().splitlines() if cache_path.exists() else []
+            if len(rows) == len(names) - 1:
+                break
+            time.sleep(0.01)
+        assert sorted(json.loads(row)["query"] for row in rows) == sorted(
+            normalize_name(n) for n in names[1:])
+    finally:
+        srv.held["First"].set()
+        caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert json.loads(cache_path.read_text().splitlines()[-1])["query"] == "first"
+    assert writers == [caller] * len(names)
+
+
+class _NoAnswers:
+    max_inflight = 2
+
+    def geocode(self, query):
+        return []
+
+
+def test_an_error_in_a_prefetch_lookup_reaches_the_caller(registry, kb, monkeypatch):
+    def kb_lookup(name, kb, key=None):
+        if name == "Broken":
+            raise RuntimeError("lookup broke")
+        return None
+
+    monkeypatch.setattr(geocode, "kb_lookup", kb_lookup)
+    resolver = CascadeResolver(kb, _NoAnswers(), registry)
+    with pytest.raises(RuntimeError, match="lookup broke"):
+        resolver.prefetch(["Fine", "Broken", "Also fine"], 2)
 
 
 def _e2e_answers():

@@ -21,7 +21,8 @@ from coverage_auditor.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineC
                                        run_pipeline)
 from coverage_auditor.places import GazetteerSpotter
 from conftest import FIXTURES
-from test_corpus import MEDIAWIKI_XML
+from test_corpus import KERALA_REDIRECTS, MEDIAWIKI_XML
+from test_live_geocoder import _answer, _e2e_answers, serve  # noqa: F401 (a fixture)
 
 E2E = FIXTURES / "e2e"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -312,9 +313,25 @@ def test_scan_counts_scorer_failures_among_dropped(monkeypatch, tmp_path):
     manifest = run_pipeline(PipelineConfig(corpus=corpus), tmp_path / "run",
                             stages=["scan"])
     assert manifest["stages"][0]["counts"] == {
-        "articles": 3, "article_rejects": 0, "candidates_extracted": 3,
+        "articles": 3, "articles_redirect": 0, "article_rejects": 0,
+        "candidates_extracted": 3,
         "candidates_scored": 1, "candidates_dropped": 2,
         "candidates_scorer_failed": 1}
+
+
+def test_scan_counts_redirect_pages_apart_and_takes_no_candidate_from_them(tmp_path):
+    def scan(name, pages):
+        corpus = tmp_path / f"{name}.xml"
+        corpus.write_text(MEDIAWIKI_XML.replace("</mediawiki>", "".join(pages) + "</mediawiki>"))
+        manifest = run_pipeline(PipelineConfig(corpus=corpus), tmp_path / name,
+                                stages=["scan"])
+        return manifest["stages"][0]["counts"], (tmp_path / name / "candidates.jsonl").read_bytes()
+
+    counts, candidates = scan("redirects", KERALA_REDIRECTS)
+    plain_counts, plain = scan("plain", [])
+    assert candidates == plain and b"REDIRECT" not in candidates
+    assert counts == dict(plain_counts, articles_redirect=2)
+    assert (counts["articles"], counts["article_rejects"]) == (1, 0)
 
 
 def _resolved_row(out, span):
@@ -322,27 +339,23 @@ def _resolved_row(out, span):
     return {(r["iso3"], r["place_stage"]) for r in rows if r["place_span"] == span}
 
 
-def test_geocache_answers_only_for_the_geocoder_that_wrote_it(tmp_path):
-    inputs = tmp_path / "inputs"
-    shutil.copytree(E2E, inputs)
+def test_geocache_answers_only_for_the_geocoder_that_wrote_it(serve, monkeypatch, tmp_path):
     cache = tmp_path / "cache"
 
-    def run(name, cache_dir):
-        cfg = PipelineConfig.from_ini(inputs / "config.ini")
-        cfg.cache_dir = cache_dir
+    def run(name, cache_dir, srv):
+        monkeypatch.setenv("COVAUD_GEOCODER_URL", srv.endpoint)
+        cfg = PipelineConfig.from_ini(E2E / "config.ini")
+        cfg.geocoder, cfg.min_delay_ms, cfg.cache_dir = "live", 0, cache_dir
         run_pipeline(cfg, tmp_path / name, stages=["scan", "extract"])
         return tmp_path / name
 
-    run("first", cache)  # the replay file has no answer for Kyushu
-    replay = inputs / "replay.jsonl"
-    replay.write_text(replay.read_text().replace(
-        '{"query": "Kyushu", "results": []}',
-        '{"query": "Kyushu", "results": [{"display_name": "Kyushu, Japan", '
-        '"iso3": "JPN", "importance": 0.6}]}'))
-    warm, cold = run("warm", cache), run("cold", tmp_path / "cold-cache")
+    first = serve(_e2e_answers())  # no answer for Kyushu
+    run("first", cache, first)
+    other = serve(dict(_e2e_answers(), Kyushu=[_answer("Kyushu, Japan", "jp", 0.6)]))
+    warm, cold = run("warm", cache, other), run("cold", tmp_path / "cold-cache", other)
     assert _resolved_row(warm, "Kyushu") == {("JPN", "REMOTE_GEOCODER")}
     assert (warm / "resolved.jsonl").read_bytes() == (cold / "resolved.jsonl").read_bytes()
-    assert len(list(cache.glob("geocache-*.jsonl"))) == 2  # one per replay file
+    assert len(list(cache.glob("geocache-*.jsonl"))) == 2  # one per endpoint
 
 
 def _run_on_corpus(lines, out):
