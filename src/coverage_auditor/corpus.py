@@ -53,7 +53,7 @@ class Article:
     citations: list[Citation] = field(default_factory=list)
 
 
-@json_row(encode={"relevance": "round({}, 6)"})
+@json_row()
 @dataclass(slots=True)
 class CandidateSentence:
     article_id: str
@@ -430,11 +430,12 @@ def constant_scorer(p: float) -> RelevanceScorer:
 
 
 def score_relevance(candidate: CandidateSentence, scorer: RelevanceScorer) -> float:
-    """Score one candidate; the score is stored on the candidate."""
+    """Score one candidate; the score is stored on the candidate, rounded
+    to 6 places as ``candidates.jsonl`` holds it."""
     score = float(scorer(candidate.text))
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"scorer returned {score}, outside [0, 1]")
-    candidate.relevance = score
+    candidate.relevance = round(score, 6)
     return score
 
 

@@ -1,11 +1,13 @@
-"""Placename-to-country resolution cascade with persistent caching.
+"""Placename-to-country resolution cascade.
 
 Stages, in order: local knowledge-base lookup, remote geocoder query,
 whole-text country inference. The first stage that succeeds wins. The
-first two depend on the placename alone and are answered once per distinct
-name; only a live geocoder's answers (a country, or none) are cached across
-runs. Inference depends on the sentence, so it runs for every mention the
-name alone leaves without a country, and is never cached.
+first two depend on the placename alone: ``CascadeResolver`` normalizes
+each name once and answers each normalized name once per run, from the
+kb, then the answers earlier runs paid a live geocoder for (its
+``GeoCache`` file), then the geocoder. Inference depends on the sentence,
+so it runs for every mention the name alone leaves without a country, and
+is never cached.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ class KnowledgeBase:
             entries[normalize_name(name)] = (iso3, flag.lower() == "true")
         return cls(entries, registry)
 
-    def lookup(self, placename: str, key: str | None = None) -> CountryCode | None:
-        """``key``: ``normalize_name(placename)``, if the caller holds it."""
-        entry = self._entries.get(normalize_name(placename) if key is None else key)
+    def lookup(self, key: str) -> CountryCode | None:
+        """``key``: a placename's ``normalize_name``."""
+        entry = self._entries.get(key)
         if entry is None:
             return None
         iso3, has_enwiki = entry
@@ -82,10 +84,9 @@ class KnowledgeBase:
         return self._registry.get_optional(iso3)
 
 
-def kb_lookup(placename: str, kb: KnowledgeBase,
-              key: str | None = None) -> CountryCode | None:
-    """Exact (case-normalized) lookup in the local knowledge base."""
-    return kb.lookup(placename, key)
+def kb_lookup(key: str, kb: KnowledgeBase) -> CountryCode | None:
+    """Exact lookup of a normalized placename in the local knowledge base."""
+    return kb.lookup(key)
 
 
 # --- remote geocoding --------------------------------------------------------
@@ -238,49 +239,39 @@ def context_infer(sentence: str, title: str,
 # --- cache and cascade -------------------------------------------------------
 
 class GeoCache:
-    """Append-only JSONL cache of one live geocoder's answers (a file per
-    endpoint, see ``geocache_path``), keyed by normalized query; without a
-    path, the answers of one run, held in memory.
+    """Append-only JSONL file of one live geocoder's answers (a file per
+    endpoint, see ``geocache_path``), keyed by normalized query.
 
     A row holds an iso3 or null ("no result with a country"); kb hits,
     context inferences and failed lookups are never rows, and rows of any
-    other stage (older caches) are ignored on load. Reads are lock-free on
-    the in-memory dict; appends are serialized. No TTL: places rarely move
+    other stage (older caches) are ignored on load. ``answers`` holds the
+    rows found on load; appends are serialized. No TTL: places rarely move
     countries.
     """
 
     _STAGE = ResolverStage.REMOTE_GEOCODER.value
 
-    def __init__(self, path: Path | None = None):
+    def __init__(self, path: Path):
         self.path = path
-        self._answers: dict[str, str | None] = {}  # normalized query -> iso3
+        self.answers: dict[str, str | None] = {}  # normalized query -> iso3
         self._lock = threading.Lock()
-        if path is not None and path.exists():
+        if path.exists():
             data = path.read_bytes()
             end = data.rfind(b"\n") + 1
             if end < len(data):  # a run killed mid-append: cut its torn row off
                 log.warning("geocache %s: dropping torn last line %r", path, data[end:])
                 os.truncate(path, end)
             rows = read_jsonl(path, lambda obj: (obj["stage"], obj["query"], obj["result"]))
-            self._answers = {query: iso3 for stage, query, iso3 in rows
-                             if stage == self._STAGE}
+            self.answers = {query: iso3 for stage, query, iso3 in rows
+                            if stage == self._STAGE}
 
-    def get(self, placename: str, default=None, key: str | None = None):
-        """The cached iso3 or None, or ``default`` for an uncached name.
-        ``key``: ``normalize_name(placename)``, if the caller holds it."""
-        return self._answers.get(normalize_name(placename) if key is None else key, default)
-
-    def put(self, placename: str, result: str | None, key: str | None = None) -> None:
-        query = normalize_name(placename) if key is None else key
-        if self.path is None:
-            self._answers[query] = result
-            return
+    def put(self, key: str, iso3: str | None) -> None:
+        """Append the answer for the normalized query ``key``."""
         row = json.dumps({
-            "query": query, "result": result, "stage": self._STAGE,
+            "query": key, "result": iso3, "stage": self._STAGE,
             "fetched_at": datetime.now(timezone.utc).isoformat(),
         }, sort_keys=True)
         with self._lock:
-            self._answers[query] = result
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(row + "\n")
 
@@ -293,14 +284,13 @@ def geocache_path(cache_dir: Path, endpoint: str) -> Path:
     return cache_dir / f"geocache-{digest}.jsonl"
 
 
-_UNCACHED = object()
-
-
 class CascadeResolver:
     """kb_lookup -> remote_geocode -> context_infer, first success wins.
 
     ``failures`` counts names whose geocoder lookup failed after retries.
-    Only the thread that calls ``prefetch`` and ``resolve`` writes to the
+    Without a ``cache``, no answer outlives the run; with ``refresh``, the
+    cache's earlier answers are not read, but new ones are still appended.
+    Only the thread that calls ``prefetch`` and ``resolve`` appends to the
     cache; prefetch's pool threads only look names up.
     """
 
@@ -310,9 +300,10 @@ class CascadeResolver:
         self.kb = kb
         self.client = client
         self.registry = registry
-        self.cache = cache or GeoCache()
+        self.cache = cache
+        # normalized name -> iso3 or None, as earlier runs' requests answered
+        self._earlier = {} if cache is None or refresh else cache.answers
         self.inferencer = AliasScanInferencer(registry)
-        self.refresh = refresh
         self.failures = 0
         self._lock = threading.Lock()
         # normalized name -> (country or None, GAZETTEER or REMOTE_GEOCODER)
@@ -320,23 +311,23 @@ class CascadeResolver:
         self._keys: dict[str, str] = {}  # raw spelling -> normalized name
 
     def _key(self, name: str) -> str:
-        """``normalize_name(name)``, computed once per spelling."""
+        """``normalize_name(name)``, once per spelling: the kb's and cache's key."""
         key = self._keys.get(name)
         if key is None:
             key = self._keys[name] = normalize_name(name)
         return key
 
     def _lookup(self, name: str, key: str) -> tuple[CountryCode | None, ResolverStage, bool]:
-        """What ``name`` (normalized: ``key``) alone resolves to: kb, then the
-        cache (unless refreshing), then the geocoder; and whether it is the
-        geocoder's answer, which ``_record`` caches. Writes no cache, so it
-        may run on prefetch's pool threads."""
-        country = kb_lookup(name, self.kb, key)
+        """What ``name`` (normalized: ``key``) alone resolves to: kb, then
+        earlier runs' answers, then the geocoder; and whether the geocoder
+        was asked, so that ``_record`` caches its answer. Writes no cache,
+        so it may run on prefetch's pool threads."""
+        country = kb_lookup(key, self.kb)
         if country is not None:
             return country, ResolverStage.GAZETTEER, False
         stage = ResolverStage.REMOTE_GEOCODER
-        iso3 = _UNCACHED if self.refresh else self.cache.get(name, _UNCACHED, key)
-        if iso3 is not _UNCACHED:
+        if key in self._earlier:
+            iso3 = self._earlier[key]
             return (self.registry.get_optional(iso3) if iso3 else None), stage, False
         try:
             country = remote_geocode(name, self.client, registry=self.registry)
@@ -347,17 +338,19 @@ class CascadeResolver:
             return None, stage, False
         return country, stage, True
 
-    def _record(self, name: str, key: str, country: CountryCode | None,
+    def _record(self, key: str, country: CountryCode | None,
                 stage: ResolverStage, fetched: bool) -> None:
-        """Hold ``_lookup``'s answer for ``key``, and cache a geocoder's."""
-        if fetched:
-            self.cache.put(name, country.iso3 if country else None, key)
+        """Hold ``_lookup``'s answer for ``key``, and append a fetched one
+        to the cache file, if there is one."""
+        if fetched and self.cache is not None:
+            self.cache.put(key, country.iso3 if country else None)
         self._answers[key] = country, stage
 
     def prefetch(self, placenames: Iterable[str], workers: int) -> None:
         """Answer the distinct names not answered yet, ``workers`` at a
         time, so that geocoder requests overlap, each recorded on this
-        thread as it completes; with one worker, in order on this thread."""
+        thread as it completes; with one worker, in order on this thread.
+        A lookup that raises, or an interrupt, cancels those not yet begun."""
         todo: dict[str, str] = {}  # normalized -> first raw spelling
         for name in placenames:
             key = self._key(name)
@@ -365,21 +358,24 @@ class CascadeResolver:
                 todo.setdefault(key, name)
         if workers <= 1:
             for key, name in todo.items():
-                self._record(name, key, *self._lookup(name, key))
+                self._record(key, *self._lookup(name, key))
             return
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(self._lookup, name, key): (name, key)
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            pending = {pool.submit(self._lookup, name, key): key
                        for key, name in todo.items()}
             for done in as_completed(pending):
-                self._record(*pending[done], *done.result())
+                self._record(pending[done], *done.result())
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def resolve(self, placename: str, sentence: str = "",
                 title: str = "") -> PlaceMention:
         key = self._key(placename)
         if key not in self._answers:
-            self._record(placename, key, *self._lookup(placename, key))
+            self._record(key, *self._lookup(placename, key))
         country, stage = self._answers[key]
         if country is None:
             country = context_infer(sentence, title, self.inferencer)

@@ -184,6 +184,9 @@ class PipelineConfig:
             if not (s.stage in stages if s.stage else reads_registry):
                 continue
             value = getattr(self, s.field)
+            # Scan and analyze have no default for their one input file.
+            if value is None and s.field in ("corpus", "indicators"):
+                raise ConfigError(f"{s.stage} needs {s.ini} ({s.flag})")
             # No count or delay is negative, and one request at least is in flight.
             low = 1 if s.field == "max_inflight" else 0
             if s.kind == "int" and value < low:
@@ -201,8 +204,6 @@ class PipelineConfig:
                                                for source in Source):
             raise ConfigError("consolidate stage needs at least one source file")
         if "scan" in stages:
-            if self.corpus is None:
-                raise ConfigError(f"corpus file not found: {self.corpus}")
             self.make_scorer()
         if "extract" in stages:
             if self.geocoder.startswith("replay:"):
@@ -213,8 +214,6 @@ class PipelineConfig:
                 self.make_geocoder_client()  # refuses a proxied endpoint
             else:
                 raise ConfigError(f"unknown geocoder {self.geocoder!r}")
-        if "analyze" in stages and self.indicators is None:
-            raise ConfigError(f"indicators file not found: {self.indicators}")
 
     def make_registry(self) -> CountryRegistry:
         return CountryRegistry.load(self.registry_path, self.alias_path)

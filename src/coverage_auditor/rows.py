@@ -96,8 +96,8 @@ def _writers(tp, value: str, depth: int = 0) -> tuple[str, str, list[str]]:
 def _object(cls, value: str, depth: int) -> tuple[str, list[str]]:
     """The %-format and expressions writing row ``value`` of type ``cls``."""
     fmts, args = [], []
-    for key, tp, field_value in sorted(cls._json_fields):
-        _, fmt, texts = _writers(tp, field_value.format(value), depth)
+    for key, tp, name in sorted(cls._json_fields):
+        _, fmt, texts = _writers(tp, f"{value}.{name}", depth)
         fmts.append(_str(key).replace("%", "%%") + ":" + fmt)
         args += texts
     return "{%s}" % ",".join(fmts), args
@@ -147,23 +147,21 @@ def _read(tp, value, registry):
     return float(value) if tp is float else value
 
 
-def json_row(keys: dict[str, str] | None = None, encode: dict[str, str] | None = None):
-    """``keys``/``encode``: a field's key, or an expression applied to its
-    value ``{}`` before the writer of its annotation."""
-    keys, encode = keys or {}, encode or {}
+def json_row(keys: dict[str, str] | None = None):
+    """``keys``: a field's key, where it is not the field's name."""
+    keys = keys or {}
 
     def build(cls):
         hints = typing.get_type_hints(cls)
         names = [f.name for f in dataclasses.fields(cls)]
         cls.json_keys = tuple(keys.get(name, name) for name in names)
-        # (key, annotation, expression of the value of row ``{}``)
+        # (key, annotation, field name)
         cls._json_fields = tuple(
-            (key, hints[name], encode.get(name, "{}").format("{}." + name))
-            for name, key in zip(names, cls.json_keys))
+            (key, hints[name], name) for name, key in zip(names, cls.json_keys))
         namespace: dict = {}
         exec("def to_json_dict(self):\n    return {%s}\n" % ", ".join(
-            f"{key!r}: {_writers(tp, value.format('self'))[0]}"
-            for key, tp, value in cls._json_fields), namespace)
+            f"{key!r}: {_writers(tp, 'self.' + name)[0]}"
+            for key, tp, name in cls._json_fields), namespace)
         cls.to_json_dict = namespace["to_json_dict"]
 
         def to_json_line(self):

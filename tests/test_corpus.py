@@ -268,13 +268,15 @@ def test_article_without_keyword_is_never_segmented(monkeypatch):
 
 # --- gated XML stripping ------------------------------------------------------
 
-def xml_dump(pages):
-    """A MediaWiki dump of main-namespace (title, wikitext) pages, ids 1, 2, ..."""
-    page = ("<page><title>{}</title><ns>0</ns><id>{}</id>"
+def xml_dump(pages, elements=()):
+    """A MediaWiki dump of main-namespace (title, wikitext) pages, ids 1, 2,
+    ...; the pages of ids in ``elements`` carry a ``<redirect>`` element."""
+    page = ("<page><title>{}</title><ns>0</ns><id>{}</id>{}"
             "<revision><text>{}</text></revision></page>")
-    return ("<mediawiki>" + "".join(page.format(escape(title), i, escape(text))
-                                    for i, (title, text) in enumerate(pages, start=1))
-            + "</mediawiki>").encode()
+    return ("<mediawiki>" + "".join(
+        page.format(escape(title), i, '<redirect title="Floods" />' * (i in elements),
+                    escape(text))
+        for i, (title, text) in enumerate(pages, start=1)) + "</mediawiki>").encode()
 
 
 def test_page_text_cannot_forge_a_citation():
@@ -353,18 +355,36 @@ def test_gated_strip_matches_the_oracle(title, wikitext):
     assert corpus._strip_page(title, wikitext) == _oracle_page(title, wikitext)
 
 
+# Whitespace then the ``#REDIRECT`` magic word, in a drawn case.
+magic_words = st.tuples(st.sampled_from(["", " ", "\n", " \n\t"]),
+                        st.lists(st.booleans(), min_size=9, max_size=9)).map(
+    lambda drawn: drawn[0] + "".join(c.upper() if up else c.lower()
+                                     for c, up in zip("#REDIRECT", drawn[1])))
+# A page, or a redirect by its element or by its magic word.
+page_kinds = st.sampled_from(["page", "page", "element", "magic word"])
+
+
 @settings(max_examples=200, deadline=None)
-@given(pages=st.lists(st.tuples(page_titles, wikitexts()), max_size=4),
+@given(pages=st.lists(st.tuples(page_titles, wikitexts(), page_kinds, magic_words),
+                      max_size=4),
        substring=st.booleans())
 def test_xml_ingest_matches_the_oracle(pages, substring):
-    rejects = []
-    got = list(ingest_articles(io.BytesIO(xml_dump(pages)), "xml", rejects))
+    texts = [(title, magic + " " + wikitext if kind == "magic word" else wikitext)
+             for title, wikitext, kind, magic in pages]
+    elements = {i for i, page in enumerate(pages, start=1) if page[2] == "element"}
+    rejects, redirects = [], []
+    got = list(ingest_articles(io.BytesIO(xml_dump(texts, elements)), "xml", rejects,
+                               redirects))
     assert rejects == []
-    assert [a.article_id for a in got] == [str(i) for i in range(1, len(pages) + 1)]
-    for art, (title, wikitext) in zip(got, pages):
+    kept = [(i, page) for i, page in enumerate(pages, start=1) if page[2] == "page"]
+    assert [a.article_id for a in got] == [str(i) for i, _ in kept]
+    assert redirects == [page[0] for page in pages if page[2] != "page"]
+    for art, (_, (title, wikitext, _, _)) in zip(got, kept):
         assert (art.paragraphs, art.citations) == _oracle_page(title, wikitext)
         want = Article(art.article_id, title, *oracle_strip_wikitext(wikitext))
-        assert ([c.to_json_dict() for c in extract_candidates(art, substring)]
+        candidates = extract_candidates(art, substring)
+        assert not any("#redirect" in c.text.lower() for c in candidates)
+        assert ([c.to_json_dict() for c in candidates]
                 == [c.to_json_dict() for c in oracle_extract_candidates(want, substring)])
 
 

@@ -430,8 +430,8 @@ class _NoAnswers:
 
 
 def test_an_error_in_a_prefetch_lookup_reaches_the_caller(registry, kb, monkeypatch):
-    def kb_lookup(name, kb, key=None):
-        if name == "Broken":
+    def kb_lookup(key, kb):
+        if key == "broken":
             raise RuntimeError("lookup broke")
         return None
 
@@ -439,6 +439,30 @@ def test_an_error_in_a_prefetch_lookup_reaches_the_caller(registry, kb, monkeypa
     resolver = CascadeResolver(kb, _NoAnswers(), registry)
     with pytest.raises(RuntimeError, match="lookup broke"):
         resolver.prefetch(["Fine", "Broken", "Also fine"], 2)
+
+
+def test_an_error_in_a_prefetch_lookup_cancels_the_queued_ones(registry, kb, monkeypatch):
+    """Lookups queued behind a failed one are not run: their answers would
+    be dropped with the error, and a live one costs a request."""
+    requests = []
+
+    class SlowClient:
+        def geocode(self, query):
+            requests.append(query)
+            time.sleep(0.05)
+            return []
+
+    def kb_lookup(key, kb):
+        if key == "broken":
+            raise RuntimeError("lookup broke")
+        return None
+
+    monkeypatch.setattr(geocode, "kb_lookup", kb_lookup)
+    workers = 2
+    resolver = CascadeResolver(kb, SlowClient(), registry)
+    with pytest.raises(RuntimeError, match="lookup broke"):
+        resolver.prefetch(["Broken"] + [f"Place {i}" for i in range(40)], workers)
+    assert len(requests) <= workers + 1
 
 
 def _e2e_answers():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverage_auditor import pipeline
+from coverage_auditor import geocode, pipeline
 from coverage_auditor.cli import main
 from coverage_auditor.analysis import StratumReport
 from coverage_auditor.countries import CountryRegistry
@@ -356,6 +356,19 @@ def test_geocache_answers_only_for_the_geocoder_that_wrote_it(serve, monkeypatch
     assert _resolved_row(warm, "Kyushu") == {("JPN", "REMOTE_GEOCODER")}
     assert (warm / "resolved.jsonl").read_bytes() == (cold / "resolved.jsonl").read_bytes()
     assert len(list(cache.glob("geocache-*.jsonl"))) == 2  # one per endpoint
+
+
+def test_replay_extract_opens_no_geocache(monkeypatch, tmp_path):
+    """A replay run's answers are the replay file's: its resolver holds them
+    for the run, and no cache is made, even one held in memory."""
+    opened = []
+    init = geocode.GeoCache.__init__
+    monkeypatch.setattr(geocode.GeoCache, "__init__",
+                        lambda self, *args: opened.append(args) or init(self, *args))
+    monkeypatch.setenv(pipeline.CACHE_DIR_ENV, str(tmp_path / "cache"))
+    cfg = PipelineConfig.from_ini(E2E / "config.ini")
+    run_pipeline(cfg, tmp_path / "run", stages=["scan", "extract"])
+    assert opened == []
 
 
 def _run_on_corpus(lines, out):

@@ -114,6 +114,17 @@ def test_negative_int_setting_is_a_config_error(tmp_path, capsys, s):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage, error", [
+    ("scan", "scan needs inputs.corpus (--input)"),
+    ("analyze", "analyze needs inputs.indicators (--indicators)"),
+])
+def test_unset_required_input_names_its_setting_and_flag(tmp_path, capsys, stage, error):
+    out = tmp_path / "run"
+    assert main([stage, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
 def test_replay_key_folds_into_the_replay_geocoder(tmp_path):
     ini = tmp_path / "c.ini"
     ini.write_text("[extract]\nreplay = r.jsonl\n")

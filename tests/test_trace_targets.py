@@ -64,3 +64,30 @@ def test_a_traced_extract_records_spotter_and_context_inference(tmp_path):
     assert spans["pipeline.extract"] == 1
     assert spans["places.spotter"] > 0
     assert spans["geocode.context_infer"] > 0
+
+
+# Every layer a replay run of the e2e fixture goes through. A rename, or a
+# call that goes around a patched name, leaves its metric reading 0.
+RUN_LAYERS = [
+    "pipeline.consolidate", "pipeline.scan", "pipeline.extract", "pipeline.match",
+    "pipeline.analyze", "pipeline.write_jsonl", "pipeline.file_digest",
+    "corpus.ingest", "corpus.keyword", "corpus.segment", "corpus.extract_candidates",
+    "corpus.score", "dates.find_dates", "dates.infer_year", "places.spotter",
+    "places.expand", "geocode.resolve", "geocode.kb", "geocode.remote",
+    "geocode.request", "geocode.context_infer", "countries.normalize_name",
+    "matching.index", "matching.match_all", "analysis.load_indicators",
+    "analysis.stratify", "analysis.domains", "ground_truth.parse",
+    "ground_truth.consolidate",
+]
+
+
+def test_a_traced_replay_run_records_every_layer_on_its_path(tmp_path):
+    proc = _traced(
+        "from pathlib import Path\n"
+        "from coverage_auditor import pipeline\n"
+        f"cfg = pipeline.PipelineConfig.from_ini(Path({str(E2E / 'config.ini')!r}))\n"
+        f"pipeline.run_pipeline(cfg, Path({str(tmp_path / 'run')!r}))\n"
+        "import collections, json\n"
+        "print(json.dumps(collections.Counter(span[1] for span in t.spans)))\n")
+    spans = json.loads(proc.stdout.splitlines()[-1])
+    assert [layer for layer in RUN_LAYERS if not spans.get(layer)] == []
