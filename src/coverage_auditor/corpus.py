@@ -110,21 +110,48 @@ def _ingest_jsonl(stream, rejects) -> Iterator[Article]:
                 raw = raw.decode("utf-8")  # a line that is not UTF-8 is a reject
             if not raw.strip():
                 continue
-            obj = json.loads(raw)
-            citations = [Citation(c["paragraph_index"], c.get("offset", 0), c["url"])
-                         for c in obj.get("citations", [])]
-            article = Article(
-                article_id=str(obj["article_id"]),
-                title=obj["title"],
-                paragraphs=[str(p) for p in obj["paragraphs"]],
-                citations=citations,
-            )
-            if not article.title:
-                raise ValueError("empty title")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            article = _jsonl_article(json.loads(raw))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             rejects.append(ArticleReject(f"line {line_no}", str(exc)))
             continue
         yield article
+
+
+# The JSON name of each type ``json.loads`` returns.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+_ABSENT = object()  # a missing key's value, which no JSON type matches
+
+
+def _typed(name: str, value, *kinds: type):
+    """``value`` if its type is one of ``kinds`` (exactly, so a bool is no
+    integer); else a ValueError naming the field."""
+    if type(value) not in kinds:
+        raise ValueError(f"{name}: expected {' or '.join(map(_JSON_TYPES.get, kinds))}, "
+                         f"got {_JSON_TYPES.get(type(value), 'nothing')}")
+    return value
+
+
+def _jsonl_article(obj) -> Article:
+    """The article a JSONL line holds, its fields checked as the README
+    describes; other keys are ignored."""
+    obj = _typed("article", obj, dict)
+    article_id = _typed("article_id", obj.get("article_id", _ABSENT), str, int)
+    title = _typed("title", obj.get("title", _ABSENT), str)
+    if not title:
+        raise ValueError("empty title")
+    paragraphs = _typed("paragraphs", obj.get("paragraphs", _ABSENT), list)
+    for i, paragraph in enumerate(paragraphs):
+        _typed(f"paragraphs[{i}]", paragraph, str)
+    citations = []
+    for i, c in enumerate(_typed("citations", obj.get("citations", []), list)):
+        at = f"citations[{i}]"
+        c = _typed(at, c, dict)
+        citations.append(Citation(
+            _typed(f"{at}.paragraph_index", c.get("paragraph_index", _ABSENT), int),
+            _typed(f"{at}.offset", c.get("offset", 0), int),
+            _typed(f"{at}.url", c.get("url", _ABSENT), str)))
+    return Article(str(article_id), title, paragraphs, citations)
 
 
 def _local_tag(tag: str) -> str:

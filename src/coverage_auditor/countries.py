@@ -95,16 +95,9 @@ class CountryRegistry:
         return self._countries[iso3] if iso3 else None
 
     def alias_items(self) -> list[tuple[str, CountryCode]]:
-        """All (normalized alias, country) pairs, longest alias first.
-
-        Whole-text country inference builds its phrase matcher from them.
-        In this order, the first alias found at a position is the one that
-        wins there: "south sudan" before "sudan".
-        """
-        items = [(alias, self._countries[iso3])
-                 for alias, iso3 in self._aliases.items()]
-        items.sort(key=lambda kv: (-len(kv[0]), kv[0]))
-        return items
+        """All (normalized alias, country) pairs, each alias once: the
+        phrases of whole-text country inference."""
+        return [(alias, self._countries[iso3]) for alias, iso3 in self._aliases.items()]
 
     def __len__(self) -> int:
         return len(self._countries)

@@ -5,9 +5,9 @@ whole-text country inference. The first stage that succeeds wins. The
 first two depend on the placename alone: ``CascadeResolver`` normalizes
 each name once and answers each normalized name once per run, from the
 kb, then the answers earlier runs paid a live geocoder for (its
-``GeoCache`` file), then the geocoder. Inference depends on the sentence,
-so it runs for every mention the name alone leaves without a country, and
-is never cached.
+``GeoCache`` file), then the geocoder; a failed lookup answers UNRESOLVED.
+Inference depends on the sentence, so it runs for every mention the name
+alone leaves without a country, and is never cached.
 """
 
 from __future__ import annotations
@@ -54,34 +54,26 @@ CountryInferencer = Callable[[str, str], CountryCode | None]
 # --- knowledge base ----------------------------------------------------------
 
 class KnowledgeBase:
-    """Offline snapshot standing in for a live entity-database query.
+    """Offline snapshot standing in for a live entity-database query: the
+    country of each normalized name it resolves. ``kb.tsv`` rows apply in
+    order over the registry's display names; a row whose has_enwiki flag is
+    false (a place without an English encyclopedia page gives editors
+    nothing to link to), or whose code is not in the registry, removes its name."""
 
-    Entries whose has_enwiki flag is false never resolve: a place without
-    an English encyclopedia page gives editors nothing to link to.
-    """
-
-    def __init__(self, entries: dict[str, tuple[str, bool]], registry: CountryRegistry):
-        self._entries = entries
-        self._registry = registry
+    def __init__(self, countries: dict[str, CountryCode]):
+        self._countries = countries
 
     @classmethod
     def load(cls, registry: CountryRegistry, path: Path | None = None) -> "KnowledgeBase":
-        entries: dict[str, tuple[str, bool]] = {}
-        for country in registry:
-            entries[normalize_name(country.display_name)] = (country.iso3, True)
+        countries = {normalize_name(c.display_name): c for c in registry}
         for name, iso3, flag in _read_tsv(path or _default_data_path("kb.tsv"), 3):
-            entries[normalize_name(name)] = (iso3, flag.lower() == "true")
-        return cls(entries, registry)
+            countries[normalize_name(name)] = (registry.get_optional(iso3)
+                                               if flag.lower() == "true" else None)
+        return cls({key: c for key, c in countries.items() if c is not None})
 
     def lookup(self, key: str) -> CountryCode | None:
         """``key``: a placename's ``normalize_name``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        iso3, has_enwiki = entry
-        if not has_enwiki:
-            return None
-        return self._registry.get_optional(iso3)
+        return self._countries.get(key)
 
 
 def kb_lookup(key: str, kb: KnowledgeBase) -> CountryCode | None:
@@ -290,8 +282,8 @@ class CascadeResolver:
     ``failures`` counts names whose geocoder lookup failed after retries.
     Without a ``cache``, no answer outlives the run; with ``refresh``, the
     cache's earlier answers are not read, but new ones are still appended.
-    Only the thread that calls ``prefetch`` and ``resolve`` appends to the
-    cache; prefetch's pool threads only look names up.
+    Prefetch's pool threads only look names up; the thread that calls
+    ``prefetch`` and ``resolve`` records each answer and appends to the cache.
     """
 
     def __init__(self, kb: KnowledgeBase, client: GeocoderClient,
@@ -305,8 +297,7 @@ class CascadeResolver:
         self._earlier = {} if cache is None or refresh else cache.answers
         self.inferencer = AliasScanInferencer(registry)
         self.failures = 0
-        self._lock = threading.Lock()
-        # normalized name -> (country or None, GAZETTEER or REMOTE_GEOCODER)
+        # normalized name -> (country or None, GAZETTEER, REMOTE_GEOCODER or UNRESOLVED)
         self._answers: dict[str, tuple[CountryCode | None, ResolverStage]] = {}
         self._keys: dict[str, str] = {}  # raw spelling -> normalized name
 
@@ -319,9 +310,9 @@ class CascadeResolver:
 
     def _lookup(self, name: str, key: str) -> tuple[CountryCode | None, ResolverStage, bool]:
         """What ``name`` (normalized: ``key``) alone resolves to: kb, then
-        earlier runs' answers, then the geocoder; and whether the geocoder
-        was asked, so that ``_record`` caches its answer. Writes no cache,
-        so it may run on prefetch's pool threads."""
+        earlier runs' answers, then the geocoder, UNRESOLVED if it fails;
+        and whether the geocoder answered, so that ``_record`` caches its
+        answer. Writes nothing, so it may run on prefetch's pool threads."""
         country = kb_lookup(key, self.kb)
         if country is not None:
             return country, ResolverStage.GAZETTEER, False
@@ -333,15 +324,15 @@ class CascadeResolver:
             country = remote_geocode(name, self.client, registry=self.registry)
         except Exception as exc:
             log.warning("geocoder failed for %r after retries: %s", name, exc)
-            with self._lock:
-                self.failures += 1
-            return None, stage, False
+            return None, ResolverStage.UNRESOLVED, False
         return country, stage, True
 
     def _record(self, key: str, country: CountryCode | None,
                 stage: ResolverStage, fetched: bool) -> None:
-        """Hold ``_lookup``'s answer for ``key``, and append a fetched one
-        to the cache file, if there is one."""
+        """Hold ``_lookup``'s answer for ``key``, count a failed lookup, and
+        append a fetched answer to the cache file, if there is one."""
+        if stage is ResolverStage.UNRESOLVED:
+            self.failures += 1
         if fetched and self.cache is not None:
             self.cache.put(key, country.iso3 if country else None)
         self._answers[key] = country, stage

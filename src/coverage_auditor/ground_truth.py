@@ -17,6 +17,7 @@ import io
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, NamedTuple
@@ -44,7 +45,7 @@ class SourceRecord:
     locations: list[str]
     native_id: str
     disaster_type: str
-    country: CountryCode | None = None  # set by resolve_countries()
+    country: CountryCode | None = None  # set by normalize_records()
 
 
 @dataclass(slots=True)
@@ -257,40 +258,30 @@ def impute_end_date(record: SourceRecord) -> SourceRecord:
     return record
 
 
-def impute_end_dates(records: Iterable[SourceRecord],
-                     ) -> tuple[list[SourceRecord], list[RejectedRow]]:
-    """Impute missing end dates; a record whose end would fall past the
-    calendar is reported, never clamped."""
-    dated: list[SourceRecord] = []
+def normalize_records(records: Iterable[SourceRecord], registry: CountryRegistry,
+                      ) -> tuple[list[SourceRecord], list[RejectedRow]]:
+    """Impute each missing end date, then attach the CountryCode, in place,
+    looking each raw spelling up once. A record whose end would fall past
+    the calendar, or whose country is unknown, is reported (the undatable
+    first), never clamped or guessed."""
+    kept: list[SourceRecord] = []
     undatable: list[RejectedRow] = []
+    unresolved: list[RejectedRow] = []
+    country_of = cache(registry.normalize_country)
     for rec in records:
         try:
-            dated.append(impute_end_date(rec))
+            impute_end_date(rec)
         except OverflowError:
             undatable.append(RejectedRow(0, f"imputed end_date past {date.max}",
                                          raw=_ref(rec)))
-    return dated, undatable
-
-
-def resolve_countries(records: Iterable[SourceRecord], registry: CountryRegistry,
-                      ) -> tuple[list[SourceRecord], list[RejectedRow]]:
-    """Attach CountryCodes in place; unresolved names are reported, never
-    guessed. Each distinct raw spelling is looked up once."""
-    resolved: list[SourceRecord] = []
-    unresolved: list[RejectedRow] = []
-    by_spelling: dict[str, CountryCode | None] = {}
-    for rec in records:
-        raw = rec.country_raw
-        if raw in by_spelling:
-            country = by_spelling[raw]
+            continue
+        rec.country = country_of(rec.country_raw)
+        if rec.country is None:
+            unresolved.append(RejectedRow(0, f"unresolved country {rec.country_raw!r}",
+                                          raw=_ref(rec)))
         else:
-            country = by_spelling[raw] = registry.normalize_country(raw)
-        if country is None:
-            unresolved.append(RejectedRow(0, f"unresolved country {raw!r}", raw=_ref(rec)))
-        else:
-            rec.country = country
-            resolved.append(rec)
-    return resolved, unresolved
+            kept.append(rec)
+    return kept, undatable + unresolved
 
 
 def _ref(rec: SourceRecord) -> str:

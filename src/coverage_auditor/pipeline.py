@@ -39,9 +39,8 @@ from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
                       LiveGeocoderClient, ReplayGeocoderClient, geocache_path)
 from .ground_truth import (ConsolidatedEvent, Source, consolidate,
-                           filter_multi_source, impute_end_dates,
-                           parse_source_records, resolve_countries,
-                           venn_counts)
+                           filter_multi_source, normalize_records,
+                           parse_source_records, venn_counts)
 from .matching import EventIndex, MatchResult, Strategy, match_all
 from .places import (Gazetteer, GazetteerSpotter, ResolvedCandidate,
                      expand_candidates)
@@ -339,12 +338,11 @@ def stage_consolidate(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[l
             into.extend({"source": source_id.value, "line": r.line_no,
                          "reason": r.reason} for r in rows)
 
-    dated, undatable = impute_end_dates(records)
-    resolved, unresolved = resolve_countries(dated, registry)
+    normalized, rejected = normalize_records(records, registry)
     rejects.extend({"source": "normalize", "line": r.line_no, "reason": r.reason,
-                    "record": r.raw} for r in undatable + unresolved)
+                    "record": r.raw} for r in rejected)
 
-    events = consolidate(resolved)
+    events = consolidate(normalized)
     kept = filter_multi_source(events, cfg.min_sources)
 
     write_jsonl(out_dir / ARTIFACTS["consolidate"], kept)

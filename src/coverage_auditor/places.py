@@ -4,7 +4,8 @@ The spotter is a deterministic gazetteer longest-match over capitalized
 token spans, so tests run hermetically. ``PhraseMatcher`` finds the
 leftmost-longest phrases of a word list with one dict probe per word that
 starts none; the spotter and whole-text country inference
-(``geocode.AliasScanInferencer``) both run on it.
+(``geocode.AliasScanInferencer``) both run on it. What it matches depends
+on its phrases alone, not on the order they are given in.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .countries import CountryCode, CountryRegistry
+from .countries import CountryCode, CountryRegistry, _default_data_path
 from .corpus import CandidateSentence
 from .dates import DateMention
 from .rows import json_row
@@ -94,8 +94,7 @@ class Gazetteer:
     def load(cls, path: Path | None = None,
              registry: CountryRegistry | None = None) -> "Gazetteer":
         """Registry display names plus the first tab field of each line."""
-        path = path or Path(str(resources.files("coverage_auditor")
-                                .joinpath("data", "gazetteer.tsv")))
+        path = path or _default_data_path("gazetteer.tsv")
         names = {c.display_name.lower() for c in registry or ()}
         with open(path, encoding="utf-8") as fh:
             for raw in fh:

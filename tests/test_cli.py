@@ -441,6 +441,16 @@ def test_report_summarizes_run(finished_run, capsys):
     assert "precision: 7/8 = 87.50%" in out
 
 
+def test_report_without_matches_has_no_precision(finished_run, capsys):
+    (finished_run / "matches.jsonl").write_text("")
+    capsys.readouterr()
+    assert run_cli("report", "--out", finished_run,
+                   "--labels", E2E / "labels.csv") == 0
+    out = capsys.readouterr().out
+    assert "hit rate: 0/11 = 0.00%" in out
+    assert "precision: undefined (no matched candidates)" in out
+
+
 @pytest.mark.parametrize("labels, code", [
     (None, 2),  # no such file
     ("article_id,relevant\nhurricane-irma,1\n", 3),

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import re
 import sys
 import xml.etree.ElementTree as ET
@@ -15,7 +16,11 @@ from coverage_auditor.corpus import (Article, Citation, assemble_paragraphs,
                                      extract_candidates, filter_by_relevance,
                                      ingest_articles, keyword_filter,
                                      segment_sentences, strip_wikitext)
+from coverage_auditor.cli import main
+from conftest import FIXTURES
 from oracles import oracle_extract_candidates, oracle_strip_wikitext
+
+E2E = FIXTURES / "e2e"
 
 
 # --- keyword filter -----------------------------------------------------------
@@ -70,6 +75,53 @@ def test_ingest_jsonl_rejects_malformed_lines():
     assert len(rejects) == 2
 
 
+def _flood_line(cite=None, **fields):
+    citation = {"paragraph_index": 0, "offset": 0, "url": "https://k.in/a", **(cite or {})}
+    return json.dumps({"article_id": "x", "title": "Floods", "paragraphs": ["Floods hit Kerala."],
+                       "citations": [citation], **fields})
+
+
+# Each line is one malformed article, and the reason its reject gives.
+MALFORMED_JSONL = {
+    "offset string": (_flood_line({"offset": "x"}),
+                      "citations[0].offset: expected integer, got string"),
+    "offset null": (_flood_line({"offset": None}),
+                    "citations[0].offset: expected integer, got null"),
+    "url number": (_flood_line({"url": 5}), "citations[0].url: expected string, got integer"),
+    "numeric title": (_flood_line(title=2019), "title: expected string, got integer"),
+    "empty title": (_flood_line(title=""), "empty title"),
+    "array line": ('["Floods", "hit"]', "article: expected object, got array"),
+    "paragraphs string": (_flood_line(paragraphs="Floods hit Kerala."),
+                          "paragraphs: expected array, got string"),
+    "paragraph null": (_flood_line(paragraphs=[None]),
+                       "paragraphs[0]: expected string, got null"),
+    "bool id": (_flood_line(article_id=True),
+                "article_id: expected string or integer, got boolean"),
+    "citation string": (_flood_line(citations=["https://k.in/a"]),
+                        "citations[0]: expected object, got string"),
+    "no paragraph_index": (_flood_line(citations=[{"url": "https://k.in/a"}]),
+                           "citations[0].paragraph_index: expected integer, got nothing"),
+}
+
+
+@pytest.mark.parametrize("line, reason", MALFORMED_JSONL.values(), ids=MALFORMED_JSONL)
+def test_malformed_jsonl_article_is_a_reject_of_its_line(tmp_path, line, reason):
+    good = (E2E / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    text = good[0] + line + "\n" + good[1]
+    rejects = []
+    articles = list(ingest_articles(io.StringIO(text), "jsonl", rejects))
+    assert [a.article_id for a in articles] == [
+        json.loads(row)["article_id"] for row in good[:2]]
+    assert [(r.locator, r.reason) for r in rejects] == [("line 2", reason)]
+
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["scan", "--input", str(corpus), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"][0]["counts"]["article_rejects"] == 1
+
+
 MEDIAWIKI_XML = """<mediawiki>
   <page>
     <title>2016 Angola floods</title>
@@ -101,6 +153,20 @@ def test_ingest_mediawiki_xml_strips_and_filters_namespaces():
     assert [c.url for c in art.citations] == [
         "https://reliefweb.int/report/angola/floods"]
     assert art.citations[0].paragraph_index == 0
+
+
+def test_xml_page_without_title_is_a_reject():
+    page = "<page><title></title><ns>0</ns><id>9</id><revision><text>Floods.</text></revision></page>"
+    dump = MEDIAWIKI_XML.replace("</mediawiki>", page + "</mediawiki>")
+    rejects = []
+    articles = list(ingest_articles(io.BytesIO(dump.encode()), "xml", rejects))
+    assert [a.title for a in articles] == ["2016 Angola floods"]
+    assert [(r.locator, r.reason) for r in rejects] == [("<unnamed page>", "page without title")]
+
+
+def test_unknown_corpus_format_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown corpus format 'csv'"):
+        list(ingest_articles(io.BytesIO(b"a,b\n"), "csv", []))
 
 
 # Real-dump redirects (export-0.11): one page with the <redirect> element,

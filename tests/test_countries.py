@@ -45,13 +45,12 @@ def test_get_and_continent(registry):
     assert registry.get_optional("XXX") is None
 
 
-def test_alias_items_longest_first(registry):
+def test_alias_items_hold_each_alias_once(registry):
     items = registry.alias_items()
-    lengths = [len(alias) for alias, _ in items]
-    assert lengths == sorted(lengths, reverse=True)
-    # "south sudan" must come before "sudan".
-    order = [alias for alias, _ in items if alias in ("sudan", "south sudan")]
-    assert order == ["south sudan", "sudan"]
+    aliases = [alias for alias, _ in items]
+    assert len(set(aliases)) == len(aliases)
+    countries = dict(items)
+    assert (countries["south sudan"].iso3, countries["sudan"].iso3) == ("SSD", "SDN")
 
 
 def test_registry_iterates_sorted_by_iso3(registry):

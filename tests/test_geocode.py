@@ -76,6 +76,22 @@ def test_kb_unknown_placename(kb):
     assert kb_lookup(normalize_name("Atlantis"), kb) is None
 
 
+def test_kb_rows_apply_in_order_over_the_display_names(registry, tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("Japan\tJPN\tfalse\n"        # removes a display name
+                    "Atlantis\tXYZ\ttrue\n"       # a code the registry lacks
+                    "Springfield\tUSA\ttrue\n"
+                    "Springfield\tAUS\tfalse\n"   # the later row wins ...
+                    "Kyushu\tJPN\tfalse\n"
+                    "Kyushu\tJPN\ttrue\n")        # ... either way
+    kb = KnowledgeBase.load(registry, path)
+    assert kb_lookup("japan", kb) is None
+    assert kb_lookup("atlantis", kb) is None
+    assert kb_lookup("springfield", kb) is None
+    assert kb_lookup("kyushu", kb).iso3 == "JPN"
+    assert kb_lookup("india", kb).iso3 == "IND"
+
+
 # --- remote geocoding -----------------------------------------------------------
 
 def test_remote_picks_highest_importance(registry):
@@ -375,6 +391,26 @@ def test_prefetch_failures_are_counted_under_contention(registry, kb, tmp_path,
     assert sorted(r["query"] for r in rows) == sorted(
         normalize_name(name) for name in names[::2])
     assert {r["result"] for r in rows} == {"BOL"}
+
+
+def test_prefetch_pool_threads_set_no_attribute(registry, kb, monkeypatch, no_backoff):
+    setters = []
+
+    def recording_setattr(self, name, value):
+        setters.append((threading.current_thread(), name))
+        object.__setattr__(self, name, value)
+
+    class DownClient:
+        max_inflight = 2
+
+        def geocode(self, query):
+            raise ConnectionError("boom")
+
+    resolver = make_resolver(registry, kb, DownClient())
+    monkeypatch.setattr(CascadeResolver, "__setattr__", recording_setattr)
+    resolver.prefetch([f"Place {i}" for i in range(12)], workers=DownClient.max_inflight)
+    assert {thread for thread, _ in setters} == {threading.current_thread()}
+    assert resolver.failures == 12
 
 
 def test_prefetch_with_one_worker_stays_on_the_calling_thread(registry, kb):

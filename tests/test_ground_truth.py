@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from coverage_auditor.ground_truth import (SOURCES, Source, SourceRecord,
                                            consolidate, filter_multi_source,
                                            impute_end_date,
-                                           parse_source_records,
-                                           resolve_countries, venn_counts)
+                                           normalize_records,
+                                           parse_source_records, venn_counts)
 from oracles import oracle_consolidate, oracle_parse_source_records
 
 
@@ -174,13 +174,19 @@ def test_impute_end_date_adds_three_days(registry):
     assert impute_end_date(rec2).end_date == date(2017, 9, 8)
 
 
-def test_resolve_countries_reports_unknown_names(registry):
-    good = make_record(registry, "AGO", date(2016, 3, 1), date(2016, 3, 2))
+def test_normalize_records_reports_unknown_names(registry):
+    good = make_record(registry, "AGO", date(2016, 3, 1), None)
     bad = SourceRecord(Source.DFO, "Elbonia", date(2016, 3, 1), date(2016, 3, 2),
                        None, None, [], "d1", "Flood")
-    resolved, unresolved = resolve_countries([good, bad], registry)
-    assert len(resolved) == 1 and resolved[0].country.iso3 == "AGO"
-    assert len(unresolved) == 1 and "Elbonia" in unresolved[0].reason
+    late = SourceRecord(Source.DFO, "Angola", date(9999, 12, 30), None,
+                        None, None, [], "d2", "Flood")
+    kept, rejected = normalize_records([bad, good, late], registry)
+    assert len(kept) == 1 and kept[0].country.iso3 == "AGO"
+    assert kept[0].end_date == date(2016, 3, 4)
+    # The undatable come first, then the unresolved.
+    assert [(r.raw, r.reason) for r in rejected] == [
+        ("dfo:d2", "imputed end_date past 9999-12-31"),
+        ("dfo:d1", "unresolved country 'Elbonia'")]
 
 
 # --- consolidation ----------------------------------------------------------

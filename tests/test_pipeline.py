@@ -319,6 +319,18 @@ def test_scan_counts_scorer_failures_among_dropped(monkeypatch, tmp_path):
         "candidates_scorer_failed": 1}
 
 
+def test_scan_drops_a_score_outside_the_unit_interval(monkeypatch, tmp_path, caplog):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"article_id": "a", "title": "Floods",
+                                  "paragraphs": ["Floods rose here."]}) + "\n")
+    monkeypatch.setattr(PipelineConfig, "make_scorer", lambda self: lambda text: 1.5)
+    manifest = run_pipeline(PipelineConfig(corpus=corpus), tmp_path / "run",
+                            stages=["scan"])
+    counts = manifest["stages"][0]["counts"]
+    assert (counts["candidates_scored"], counts["candidates_scorer_failed"]) == (0, 1)
+    assert "scorer returned 1.5, outside [0, 1]" in caplog.text
+
+
 def test_scan_counts_redirect_pages_apart_and_takes_no_candidate_from_them(tmp_path):
     def scan(name, pages):
         corpus = tmp_path / f"{name}.xml"

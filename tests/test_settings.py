@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from coverage_auditor.cli import _load_config, build_parser, main
-from coverage_auditor.pipeline import SETTINGS, PipelineConfig, run_pipeline
+from coverage_auditor.pipeline import SETTINGS, ConfigError, PipelineConfig, run_pipeline
 from conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
@@ -123,6 +123,52 @@ def test_unset_required_input_names_its_setting_and_flag(tmp_path, capsys, stage
     assert main([stage, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
     assert not out.exists()
+
+
+CONFIG, MISSING = str(E2E / "config.ini"), str(E2E / "missing")
+AXES = next(s.choices for s in SETTINGS if s.field == "axes")
+
+
+# Each config error: the command line that makes it, and its message.
+CONFIG_ERRORS = {
+    "unreadable config": (["run", "--config", MISSING], f"cannot read config {MISSING}: "),
+    "unknown scorer": (["scan", "--config", CONFIG, "--scorer", "foo"],
+                       "unknown scorer 'foo'"),
+    "scorer not a number": (["scan", "--config", CONFIG, "--scorer", "constant:x"],
+                            "bad scorer 'constant:x': could not convert string to float: 'x'"),
+    "scorer out of range": (["scan", "--config", CONFIG, "--scorer", "constant:2"],
+                            "bad scorer 'constant:2': constant score 2.0 outside [0, 1]"),
+    "missing replay file": (["extract", "--config", CONFIG, "--geocoder", f"replay:{MISSING}"],
+                            f"replay file not found: {MISSING}"),
+    "unknown geocoder": (["extract", "--config", CONFIG, "--geocoder", "bogus"],
+                         "unknown geocoder 'bogus'"),
+    "unknown strategy": (["match", "--config", CONFIG, "--strategy", "yx"],
+                         "strategy must be in ('ymd', 'ym'), got 'yx'"),
+    "unknown axis": (["analyze", "--config", CONFIG, "--axes", "gdp,bogus"],
+                     f"axes must be in {AXES}, got 'bogus'"),
+    "unknown fatalities rule": (["analyze", "--config", CONFIG, "--fatalities-unknown", "maybe"],
+                                "fatalities_unknown must be in ('zero', 'exclude'), got 'maybe'"),
+    "no request in flight": (["extract", "--config", CONFIG, "--max-inflight", "0"],
+                             "max_inflight must be >= 1, got 0"),
+    "no source file": (["consolidate"], "consolidate stage needs at least one source file"),
+}
+
+
+@pytest.mark.parametrize("argv, error", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_error_names_its_cause(tmp_path, capsys, argv, error):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # The one message that ends in the OS's own words is matched up to them.
+    assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+    assert err.endswith("\n" if error.endswith(": ") else f"{error}\n")
+    assert not out.exists()
+
+
+def test_unknown_stage_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown stage 'bogus'"):
+        run_pipeline(PipelineConfig(), tmp_path / "run", stages=["bogus"])
+    assert not (tmp_path / "run").exists()
 
 
 def test_replay_key_folds_into_the_replay_geocoder(tmp_path):
