@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .corpus import CandidateSentence
-from .countries import Continent
+from .countries import Continent, text_lines
 from .ground_truth import ConsolidatedEvent
 from .rows import json_row
 
@@ -51,10 +51,11 @@ _COLUMNS = [({"gdp_per_capita_usd": "gdp_per_capita", "english_speaker_pct": "en
 
 def load_indicators(path: Path) -> dict[str, CountryIndicators]:
     """Read the indicators snapshot CSV keyed by iso3. A missing column, or a
-    missing or unparsable value, is a ValueError naming the file (line, column)."""
+    missing or unparsable value, or a line that is not UTF-8, is a ValueError
+    naming the file (line, column)."""
     indicators: dict[str, CountryIndicators] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.DictReader(text_lines(fh, f"indicators {path}"))
         for column, _ in _COLUMNS:
             if column not in (reader.fieldnames or ()):
                 raise ValueError(f"indicators {path}: no {column} column")

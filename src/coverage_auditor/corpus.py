@@ -24,11 +24,12 @@ import math
 import operator
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from .dates import distinct_years
-from .rows import json_row
+from .rows import _JSON, json_row
 
 log = logging.getLogger(__name__)
 
@@ -117,9 +118,6 @@ def _ingest_jsonl(stream, rejects) -> Iterator[Article]:
         yield article
 
 
-# The JSON name of each type ``json.loads`` returns.
-_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
-               float: "number", bool: "boolean", type(None): "null"}
 _ABSENT = object()  # a missing key's value, which no JSON type matches
 
 
@@ -127,8 +125,8 @@ def _typed(name: str, value, *kinds: type):
     """``value`` if its type is one of ``kinds`` (exactly, so a bool is no
     integer); else a ValueError naming the field."""
     if type(value) not in kinds:
-        raise ValueError(f"{name}: expected {' or '.join(map(_JSON_TYPES.get, kinds))}, "
-                         f"got {_JSON_TYPES.get(type(value), 'nothing')}")
+        raise ValueError(f"{name}: expected {' or '.join(map(_JSON.get, kinds))}, "
+                         f"got {_JSON.get(type(value), 'nothing')}")
     return value
 
 
@@ -275,31 +273,31 @@ def strip_wikitext(text: str) -> tuple[str, list[str]]:
 
 
 def assemble_paragraphs(text: str, urls: list[str]) -> tuple[list[str], list[Citation]]:
-    """Split stripped text into whitespace-normalized paragraphs; each
-    marker's URLs become citations anchored at their character position in
-    the paragraph."""
+    """Split stripped text into whitespace-normalized paragraphs. Each
+    marker's URLs become citations anchored on the last character before the
+    marker (offset 0 if none), so each belongs to the sentence that holds
+    that character; a marker in a block with no text is dropped."""
     paragraphs: list[str] = []
     citations: list[Citation] = []
     for block in re.split(r"\n\s*\n", text):
-        cleaned = " ".join(block.split())
-        if not cleaned:
+        pieces = _MARKER_RE.split(block)  # text, slot, count, text, ..., text
+        paragraph = " ".join("".join(pieces[::3]).split())
+        if not paragraph:
             continue
-        out: list[str] = []
-        pos = 0
-        pidx = len(paragraphs)
-        plain_len = 0
-        for m in _MARKER_RE.finditer(cleaned):
-            chunk = cleaned[pos:m.start()]
-            out.append(chunk)
-            plain_len += len(chunk)
-            slot, count = int(m.group(1)), int(m.group(2))
-            for url in urls[slot:slot + count]:
-                citations.append(Citation(pidx, max(plain_len - 1, 0), url))
-            pos = m.end()
-        out.append(cleaned[pos:])
-        final = " ".join("".join(out).split())
-        if final:
-            paragraphs.append(final)
+        # ``length``: the normalized length of the text before the marker at
+        # hand, so its last character is at ``length - 1``. ``in_word``: that
+        # text ends in a non-space, which a piece that starts with one joins.
+        length, in_word = 0, False
+        for piece, slot, count in zip(pieces[::3], pieces[1::3], pieces[2::3]):
+            if words := piece.split():
+                joins = in_word and not piece[0].isspace()
+                length += (length > 0 and not joins) + len(" ".join(words))
+            if piece:
+                in_word = not piece[-1].isspace()
+            slot = int(slot)
+            citations.extend(Citation(len(paragraphs), max(length - 1, 0), url)
+                             for url in urls[slot:slot + int(count)])
+        paragraphs.append(paragraph)
     return paragraphs, citations
 
 
@@ -372,7 +370,9 @@ def _may_hold_keyword(text: str) -> bool:
 
 
 def extract_candidates(article: Article, substring: bool = False) -> list[CandidateSentence]:
-    """All sentences of a keyword-titled article, else keyword sentences."""
+    """All sentences of a keyword-titled article, else keyword sentences. A
+    citation belongs to the last sentence starting at or before its offset
+    (the first sentence, if none does)."""
     # Sentences are substrings of their paragraph and sentence_index counts
     # within the article, so an article that cannot hold a keyword is
     # skipped whole, before any segmentation.
@@ -380,19 +380,23 @@ def extract_candidates(article: Article, substring: bool = False) -> list[Candid
             or any(_may_hold_keyword(p) for p in article.paragraphs)):
         return []
     title_hit = keyword_filter(article.title, substring)
+    cited: dict[int, list[Citation]] = {}
+    for c in article.citations:
+        cited.setdefault(c.paragraph_index, []).append(c)
     candidates: list[CandidateSentence] = []
     sentence_counter = 0
     for pidx, paragraph in enumerate(article.paragraphs):
         sentences = segment_sentences(paragraph)
-        spans = _sentence_spans(paragraph, sentences)
-        para_citations = [c for c in article.citations if c.paragraph_index == pidx]
+        urls: list[list[str]] = [[] for _ in sentences]
+        if sentences and pidx in cited:
+            starts = _sentence_starts(paragraph, sentences)
+            for c in cited[pidx]:
+                urls[max(bisect_right(starts, c.offset) - 1, 0)].append(c.url)
         years = None  # computed for paragraphs holding a candidate only
-        for text, (s_start, _) in zip(sentences, spans):
+        for text, text_urls in zip(sentences, urls):
             if title_hit or keyword_filter(text, substring):
                 if years is None:
                     years = sorted(distinct_years(paragraph))
-                urls = [c.url for c in para_citations
-                        if _owning_sentence(spans, c.offset) == s_start]
                 candidates.append(CandidateSentence(
                     article_id=article.article_id,
                     title=article.title,
@@ -400,32 +404,22 @@ def extract_candidates(article: Article, substring: bool = False) -> list[Candid
                     sentence_index=sentence_counter,
                     text=text,
                     via_title_rule=title_hit,
-                    citations=urls,
+                    citations=text_urls,
                     paragraph_years=years,
                 ))
             sentence_counter += 1
     return candidates
 
 
-def _sentence_spans(paragraph: str, sentences: list[str]) -> list[tuple[int, int]]:
-    spans = []
+def _sentence_starts(paragraph: str, sentences: list[str]) -> list[int]:
+    """Where each of ``segment_sentences(paragraph)`` starts."""
+    starts = []
     cursor = 0
     for sent in sentences:
-        start = paragraph.index(sent, cursor)
-        spans.append((start, start + len(sent)))
-        cursor = start + len(sent)
-    return spans
-
-
-def _owning_sentence(spans: list[tuple[int, int]], offset: int) -> int:
-    """Citation offsets attach to the nearest preceding sentence start."""
-    owner = spans[0][0] if spans else 0
-    for start, _ in spans:
-        if start <= offset:
-            owner = start
-        else:
-            break
-    return owner
+        cursor = paragraph.index(sent, cursor)
+        starts.append(cursor)
+        cursor += len(sent)
+    return starts
 
 
 # --- relevance scoring -------------------------------------------------------

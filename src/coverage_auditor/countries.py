@@ -10,11 +10,13 @@ unresolved, never guessed.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 
 class Continent(str, Enum):
@@ -115,12 +117,27 @@ def _alias_key(kind: str, name: str) -> str:
     return key
 
 
+def text_lines(fh: BinaryIO, name: str, error: type[Exception] = ValueError) -> Iterator[str]:
+    """The lines of the binary file ``fh``, decoded from UTF-8 one at a time,
+    with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as text mode reads them.
+    A line that is not UTF-8 raises ``error("<name> line N: <problem>")``."""
+    for n, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{name} line {n}: {exc}") from None
+        if "\r" in line:
+            yield from io.StringIO(line, newline=None)
+        else:
+            yield line
+
+
 def _read_tsv(path: Path, width: int):
     """Each row of a tab-separated table as its ``width`` fields, stripped;
-    blank lines and ``#`` comments are skipped. A row of another width is a
-    ValueError naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    blank lines and ``#`` comments are skipped. A row of another width, or a
+    line that is not UTF-8, is a ValueError naming the file and line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(text_lines(fh, str(path)), start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue

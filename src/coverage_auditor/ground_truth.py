@@ -13,7 +13,6 @@ flags; ``venn_counts`` reports the events per combination of sources.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -22,7 +21,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
-from .countries import CountryCode, CountryRegistry
+from .countries import CountryCode, CountryRegistry, text_lines
 from .rows import json_row
 
 IMPUTED_DURATION_DAYS = 3  # median flood duration; fills missing end dates
@@ -109,24 +108,11 @@ def parse_source_records(raw_file: BinaryIO, source_id: Source) -> ParseResult:
     dropped by source-specific relevance filters (non-flood/storm disaster
     types, landslide-only news tags) go to ``excluded``. Nothing is
     silently dropped. Blank rows are skipped and not numbered, so the first
-    data row is line 2 and each later non-blank row adds one.
+    data row is line 2 and each later non-blank row adds one. A line that is
+    not UTF-8 is an IOError naming the source and the line of the file.
     """
-    # Detach on the way out, so that closing raw_file stays the caller's job
-    # and the wrapper never closes (or leaks) it.
-    text = io.TextIOWrapper(raw_file, encoding="utf-8")
-    try:
-        return _parse_rows(text, source_id)
-    finally:
-        text.detach()
-
-
-def _parse_rows(text: io.TextIOWrapper, source_id: Source) -> ParseResult:
-    try:
-        reader = csv.reader(text)
-        header = next(reader, None)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IOError(f"unreadable {source_id.value} file: {exc}") from exc
-
+    reader = csv.reader(text_lines(raw_file, f"unreadable {source_id.value} file", IOError))
+    header = next(reader, None)
     expected, build, _ = SOURCES[source_id]
     if header is None or [h.strip() for h in header] != expected:
         raise IOError(

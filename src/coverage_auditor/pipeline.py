@@ -266,6 +266,10 @@ SETTINGS = tuple(Setting(f.name, *f.metadata["setting"], f.type)
                  for f in fields(PipelineConfig))
 
 
+# The client of a replay run without a replay file. The benchmark's tracer
+# patches its ``geocode`` by this name, as it patches the other clients'
+# (ROADMAP item 3): ``tests/test_trace_targets.py`` fails if it is inlined
+# or renamed.
 class _EmptyClient:
     max_inflight = 1
 
@@ -383,7 +387,8 @@ def stage_scan(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[list, di
     scorer_failed: list[CandidateSentence] = []
     retained, dropped = filter_by_relevance(candidates, scorer, cfg.threshold,
                                             scorer_failed)
-    retained.sort(key=lambda c: (c.article_id, c.paragraph_index, c.sentence_index))
+    # sentence_index counts over the whole article, so this key is unique.
+    retained.sort(key=lambda c: (c.article_id, c.sentence_index))
     write_jsonl(out_dir / ARTIFACTS["scan"], retained)
     return retained, {
         "articles": len(occurrences) - len(shared),

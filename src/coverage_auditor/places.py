@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .countries import CountryCode, CountryRegistry, _default_data_path
+from .countries import CountryCode, CountryRegistry, _default_data_path, text_lines
 from .corpus import CandidateSentence
 from .dates import DateMention
 from .rows import json_row
@@ -96,8 +96,8 @@ class Gazetteer:
         """Registry display names plus the first tab field of each line."""
         path = path or _default_data_path("gazetteer.tsv")
         names = {c.display_name.lower() for c in registry or ()}
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
+        with open(path, "rb") as fh:
+            for raw in text_lines(fh, str(path)):
                 line = raw.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue

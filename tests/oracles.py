@@ -13,9 +13,14 @@ Deliberately naive, but obviously correct, which is the point:
   matcher;
 - wikitext stripping assembles every page's paragraphs and citations in
   one function, with no gate between the markup passes and the assembly,
-  and with the older sentinel U+E000 around citation markers;
+  and with the older sentinel U+E000 around citation markers; each
+  citation's offset is the length, less one, of the text before its marker
+  with every marker removed and whitespace normalized, recomputed from the
+  block's start for every marker;
 - candidate extraction segments and keyword-tests every sentence of every
-  article, with no article-level gate;
+  article, with no article-level gate, and gives each citation its
+  sentence by scanning the sentence starts of its paragraph, for every
+  citation of every candidate;
 - date finding tries the full date pattern at every position of the text;
 - matching tests a candidate against every event of its country, found by
   scanning the plain event list rather than the index under test.
@@ -31,7 +36,6 @@ from datetime import date, timedelta
 from typing import BinaryIO
 
 from coverage_auditor.corpus import (Article, CandidateSentence, Citation,
-                                     _owning_sentence, _sentence_spans,
                                      keyword_filter, segment_sentences)
 from coverage_auditor.countries import CountryCode, normalize_name
 from coverage_auditor.dates import (_DATE_RE, _MODIFIER_DAY, DateMention,
@@ -290,26 +294,39 @@ def oracle_strip_wikitext(text: str) -> tuple[list[str], list[Citation]]:
     citations: list[Citation] = []
     marker_re = re.compile(f"{_MARK}(\\d+):(\\d+){_MARK}")
     for block in re.split(r"\n\s*\n", text):
-        cleaned = " ".join(block.split())
-        if not cleaned:
-            continue
-        out: list[str] = []
-        pos = 0
-        pidx = len(paragraphs)
-        plain_len = 0
-        for m in marker_re.finditer(cleaned):
-            chunk = cleaned[pos:m.start()]
-            out.append(chunk)
-            plain_len += len(chunk)
+        paragraph = " ".join(marker_re.sub("", block).split())
+        if not paragraph:
+            continue  # a ref in a block with no text cites nothing
+        for m in marker_re.finditer(block):
+            # Anchored on the last character before the marker: the end of
+            # the text before it, with the markers gone and normalized.
+            before = " ".join(marker_re.sub("", block[:m.start()]).split())
             slot, count = int(m.group(1)), int(m.group(2))
             for url in urls[slot:slot + count]:
-                citations.append(Citation(pidx, max(plain_len - 1, 0), url))
-            pos = m.end()
-        out.append(cleaned[pos:])
-        final = " ".join("".join(out).split())
-        if final:
-            paragraphs.append(final)
+                citations.append(Citation(len(paragraphs), max(len(before) - 1, 0), url))
+        paragraphs.append(paragraph)
     return paragraphs, citations
+
+
+def _sentence_spans(paragraph: str, sentences: list[str]) -> list[tuple[int, int]]:
+    spans = []
+    cursor = 0
+    for sent in sentences:
+        start = paragraph.index(sent, cursor)
+        spans.append((start, start + len(sent)))
+        cursor = start + len(sent)
+    return spans
+
+
+def _owning_sentence(spans: list[tuple[int, int]], offset: int) -> int:
+    """Citation offsets attach to the nearest preceding sentence start."""
+    owner = spans[0][0] if spans else 0
+    for start, _ in spans:
+        if start <= offset:
+            owner = start
+        else:
+            break
+    return owner
 
 
 def oracle_extract_candidates(article: Article,

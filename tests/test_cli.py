@@ -227,6 +227,39 @@ def test_malformed_table_names_its_file(tmp_path, capsys, key, table, edit, erro
         path=path.resolve(), n=len(text.splitlines())) + "\n"
 
 
+def _many_dfo_rows(data):
+    """``data`` and 2000 more good rows: more than 64 KiB, past the chunk
+    that a text-mode reader decodes along with the header."""
+    return data + "".join(f"Angola,2016-03-01,2016-03-10,14,9000,x{i}\n"
+                          for i in range(2000)).encode()
+
+
+@pytest.mark.parametrize("key, table, grow, error, code", [
+    ("extract.kb", DATA / "kb.tsv", None, "stage extract failed: {path} line {n}", 4),
+    ("extract.gazetteer", DATA / "gazetteer.tsv", None,
+     "stage extract failed: {path} line {n}", 4),
+    ("inputs.registry", DATA / "country_registry.tsv", None,
+     "stage consolidate failed: {path} line {n}", 4),
+    ("inputs.aliases", DATA / "country_aliases.tsv", None,
+     "stage consolidate failed: {path} line {n}", 4),
+    ("inputs.indicators", E2E / "indicators.csv", None,
+     "stage analyze failed: indicators {path} line {n}", 4),
+    ("inputs.dfo", E2E / "dfo.csv", _many_dfo_rows,
+     "input error: unreadable dfo file line {n}", 3),
+], ids=["kb", "gazetteer", "registry", "aliases", "indicators", "source csv"])
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, key, table,
+                                                         grow, error, code):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    path = inputs / table.name
+    data = (grow or bytes)(table.read_bytes()) + b"Kerala \xff\n"
+    path.write_bytes(data)
+    _set_ini(inputs / "config.ini", key, table.name)
+    assert run_cli("run", "--config", inputs / "config.ini", "--out", tmp_path / "run") == code
+    assert capsys.readouterr().err == error.format(path=path.resolve(), n=data.count(b"\n")) + (
+        ": 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n")
+
+
 def _flip_middle_byte(data):
     mid = len(data) // 2
     return data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1:]

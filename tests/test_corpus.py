@@ -352,6 +352,39 @@ def test_page_text_cannot_forge_a_citation():
     assert art.citations == [Citation(0, 24, "http://a.example/x")]
 
 
+def _cited(wikitext):
+    """Each candidate's text and citations, for a page that went through
+    XML ingest."""
+    [art] = ingest_articles(io.BytesIO(xml_dump([("Kyushu", wikitext)])), "xml", [])
+    return [(c.text, c.citations) for c in extract_candidates(art)]
+
+
+def test_xml_citations_follow_their_sentences_in_document_order():
+    wikitext = ("Floods hit Kerala<ref>http://a.org/1 http://a.org/2</ref> in June."
+                "<ref>see http://a.org/3</ref> The flood receded by July."
+                "<ref>http://a.org/4</ref>")
+    assert _cited(wikitext) == [
+        ("Floods hit Kerala in June.", ["http://a.org/1", "http://a.org/2", "http://a.org/3"]),
+        ("The flood receded by July.", ["http://a.org/4"]),
+    ]
+
+
+# A citation belongs to the sentence that holds the last character before
+# its ref, however many refs stand between; a ref in a block with no text
+# cites nothing, wherever the block falls.
+@pytest.mark.parametrize("wikitext, cited", [
+    ("Rain <ref>http://a.org/1</ref> and <ref>http://a.org/2</ref> floods hit."
+     "<ref>http://a.org/3</ref> Next floods came.",
+     [("Rain and floods hit.", ["http://a.org/1", "http://a.org/2", "http://a.org/3"]),
+      ("Next floods came.", [])]),
+    ("Intro about floods.\n\n<ref>http://a.org/x</ref>\n\nFloods hit Kerala. More text.",
+     [("Intro about floods.", []), ("Floods hit Kerala.", [])]),
+    ("Intro about floods.\n\n<ref>http://a.org/x</ref>", [("Intro about floods.", [])]),
+], ids=["drifted ref", "ref-only block", "ref-only last block"])
+def test_a_ref_cites_the_sentence_before_it(wikitext, cited):
+    assert _cited(wikitext) == cited
+
+
 # Wikitext pieces that can splice a keyword together or break it apart:
 # keyword fragments, every markup construct the passes strip, Unicode
 # whitespace and the ``İ`` that lower-cases to two characters. U+E000 and
