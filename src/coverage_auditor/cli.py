@@ -16,7 +16,7 @@ from . import __version__
 from .matching import evaluate
 from .pipeline import (ARTIFACTS, PARSERS, SETTINGS, STAGES, ConfigError,
                        InputError, PipelineConfig, StageError, load_result,
-                       read_jsonl, run_pipeline)
+                       read_jsonl, run_pipeline, text_lines)
 from .rows import RowError
 
 EXIT_OK = 0
@@ -137,11 +137,11 @@ def _read_labels(path: Path) -> dict[tuple[str, int], bool]:
     lacks a column or a ``sentence_index`` is not an integer."""
     labels: dict[tuple[str, int], bool] = {}
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read labels {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh, restval="")
+        reader = csv.DictReader(text_lines(fh, f"labels {path}", InputError), restval="")
         try:
             missing = [c for c in ("article_id", "sentence_index", "relevant")
                        if c not in (reader.fieldnames or ())]

@@ -78,10 +78,10 @@ class ArticleReject:
 
 def sniff_format(stream: BinaryIO) -> str:
     """``xml`` when the first byte of ``stream`` past an optional UTF-8 BOM
-    and ASCII whitespace is ``<``, else ``jsonl``. Only peeks, so the stream
-    still starts at its first byte."""
-    head = stream.peek(64).removeprefix(codecs.BOM_UTF8).lstrip()
-    return "xml" if head.startswith(b"<") else "jsonl"
+    and ASCII whitespace is ``<``, else ``jsonl``. Reads the BOM, if any, and
+    only peeks past it, so the stream starts at the first byte of the text."""
+    stream.read(3 if stream.peek(3).startswith(codecs.BOM_UTF8) else 0)
+    return "xml" if stream.peek(64).lstrip().startswith(b"<") else "jsonl"
 
 
 def ingest_articles(stream: BinaryIO | TextIO, format: str,

@@ -63,22 +63,22 @@ class CountryRegistry:
         registry_path = registry_path or _default_data_path("country_registry.tsv")
         alias_path = alias_path or _default_data_path("country_aliases.tsv")
 
-        countries: dict[str, CountryCode] = {}
-        iso2_to_iso3: dict[str, str] = {}
-        for iso3, display_name, continent, iso2 in _read_tsv(registry_path, 4):
-            countries[iso3] = CountryCode(iso3, display_name, Continent(continent))
-            iso2_to_iso3[iso2] = iso3
+        rows = _read_tsv(registry_path, 4, lambda iso3, display_name, continent, iso2: (
+            iso2, CountryCode(iso3, display_name, Continent(continent))))
+        countries = {code.iso3: code for _, code in rows}
+
+        def alias_row(alias: str, iso3: str) -> tuple[str, str]:
+            if iso3 not in countries:
+                raise ValueError(f"alias {alias!r} points to unknown code {iso3!r}")
+            return _alias_key("alias", alias), iso3
 
         aliases: dict[str, str] = {}
         # Canonical display names always resolve to themselves.
         for code in countries.values():
             aliases[_alias_key("display name", code.display_name)] = code.iso3
             aliases[_alias_key("code", code.iso3)] = code.iso3
-        for alias, iso3 in _read_tsv(alias_path, 2):
-            if iso3 not in countries:
-                raise ValueError(f"alias {alias!r} points to unknown code {iso3!r}")
-            aliases[_alias_key("alias", alias)] = iso3
-        return cls(countries, aliases, iso2_to_iso3)
+        aliases.update(_read_tsv(alias_path, 2, alias_row))
+        return cls(countries, aliases, {iso2: code.iso3 for iso2, code in rows})
 
     def get(self, iso3: str) -> CountryCode:
         return self._countries[iso3]
@@ -118,12 +118,14 @@ def _alias_key(kind: str, name: str) -> str:
 
 
 def text_lines(fh: BinaryIO, name: str, error: type[Exception] = ValueError) -> Iterator[str]:
-    """The lines of the binary file ``fh``, decoded from UTF-8 one at a time,
-    with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as text mode reads them.
-    A line that is not UTF-8 raises ``error("<name> line N: <problem>")``."""
+    """The lines of the binary input file ``fh``, decoded from UTF-8 one at a
+    time: a byte-order mark is dropped from the first, and ``\\r\\n`` and a
+    lone ``\\r`` are read as ``\\n``, as text mode reads them. A line that is
+    not UTF-8 raises ``error("<name> line N: <problem>")``. Every input but
+    the corpus is read through here."""
     for n, raw in enumerate(fh, start=1):
         try:
-            line = raw.decode("utf-8")
+            line = raw.decode("utf-8-sig" if n == 1 else "utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"{name} line {n}: {exc}") from None
         if "\r" in line:
@@ -132,20 +134,25 @@ def text_lines(fh: BinaryIO, name: str, error: type[Exception] = ValueError) -> 
             yield line
 
 
-def _read_tsv(path: Path, width: int):
-    """Each row of a tab-separated table as its ``width`` fields, stripped;
-    blank lines and ``#`` comments are skipped. A row of another width, or a
-    line that is not UTF-8, is a ValueError naming the file and line."""
+def _read_tsv(path: Path, width: int | None, row=lambda *fields: fields) -> list:
+    """``row(*fields)`` of each row of a tab-separated table, its fields
+    stripped; blank lines and ``#`` comments are skipped. A row of another
+    ``width`` (any width if None), a ValueError from ``row``, or a line that
+    is not UTF-8, is a ValueError naming the file and line."""
+    rows = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(text_lines(fh, str(path)), start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise ValueError(f"{path} line {line_no}: {len(fields)} "
-                                 f"tab-separated fields, expected {width}")
-            yield [field.strip() for field in fields]
+            fields = [field.strip() for field in line.split("\t")]
+            try:
+                if width is not None and len(fields) != width:
+                    raise ValueError(f"{len(fields)} tab-separated fields, expected {width}")
+                rows.append(row(*fields))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {line_no}: {exc}") from None
+    return rows
 
 
 _DEFAULT: CountryRegistry | None = None

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .countries import CountryCode, CountryRegistry, text_lines
-from .rows import json_row
+from .rows import iso_date, json_row
 
 IMPUTED_DURATION_DAYS = 3  # median flood duration; fills missing end dates
 
@@ -88,7 +88,7 @@ def _parse_date(value: str) -> date | None:
     value = value.strip()
     if not value:
         return None
-    return date.fromisoformat(value)
+    return iso_date(value)
 
 
 def _parse_count(value: str) -> int | None:

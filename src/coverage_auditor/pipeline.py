@@ -34,7 +34,7 @@ from .analysis import (AXES, StratumReport, extract_reference_domains,
 from .corpus import (ArticleReject, CandidateSentence, builtin_scorer,
                      constant_scorer, extract_candidates, filter_by_relevance,
                      ingest_articles, sniff_format)
-from .countries import CountryRegistry
+from .countries import CountryRegistry, text_lines
 from .dates import find_dates, infer_year
 from .geocode import (CascadeResolver, GeoCache, KnowledgeBase,
                       LiveGeocoderClient, ReplayGeocoderClient, geocache_path)
@@ -134,8 +134,8 @@ class PipelineConfig:
         A section or key that names no setting is logged and ignored."""
         parser = configparser.ConfigParser()
         try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
+            with open(path, "rb") as fh:
+                parser.read_file(text_lines(fh, str(path), ConfigError), source=str(path))
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

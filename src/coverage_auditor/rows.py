@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import types
 import typing
 from datetime import date
@@ -26,7 +27,7 @@ from enum import EnumMeta
 from json.encoder import encode_basestring as _str  # json's own, in C
 from pathlib import Path
 
-from .countries import CountryCode
+from .countries import CountryCode, text_lines
 
 # The name of each type ``json.loads`` returns.
 _JSON = {str: "string", int: "integer", float: "number", bool: "boolean",
@@ -112,6 +113,18 @@ def _line_writer(cls):
     return namespace["to_json_line"]
 
 
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """The date that ``text`` writes as exactly ``YYYY-MM-DD``, or a
+    ValueError. ``date.fromisoformat`` alone reads more forms on Python 3.11
+    (``20160301``, ``2016-W10-4``) than on 3.10."""
+    if not _ISO_DATE_RE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _read(tp, value, registry):
     """The value of annotation ``tp`` that a JSON value stands for, or a
     ValueError."""
@@ -139,7 +152,7 @@ def _read(tp, value, registry):
     if isinstance(tp, EnumMeta):
         return tp(value)
     if tp is date:
-        return date.fromisoformat(value)
+        return iso_date(value)
     if tp is CountryCode:
         if (country := registry.get_optional(value)) is None:
             raise ValueError(f"unknown country {value!r}")
@@ -200,11 +213,11 @@ def read_jsonl(path: Path, decode=None) -> list:
     every line of the file."""
     rows = []
     with open(path, "rb") as fh:
-        for n, line in enumerate(fh, start=1):
+        for n, line in enumerate(text_lines(fh, Path(path).name, RowError), start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line.decode("utf-8"))
+                row = json.loads(line)
                 rows.append(decode(row) if decode else row)
             except (ValueError, KeyError, TypeError) as exc:  # RowError included
                 problem = (f"{exc.args[0]}: missing" if type(exc) is KeyError else

@@ -1,4 +1,5 @@
 import bz2
+import codecs
 import configparser
 import gzip
 import hashlib
@@ -205,6 +206,11 @@ def test_missing_registry_file_fails_every_stage_that_reads_it(tmp_path, capsys,
      "stage consolidate failed: {path} line {n}: 3 tab-separated fields, expected 4"),
     ("inputs.aliases", DATA / "country_aliases.tsv", lambda t: t + "Burma\tMMR\tAsia\n",
      "stage consolidate failed: {path} line {n}: 3 tab-separated fields, expected 2"),
+    ("inputs.registry", DATA / "country_registry.tsv",
+     lambda t: t + "XKX\tKosovo\tAtlantis\tXK\n",
+     "stage consolidate failed: {path} line {n}: 'Atlantis' is not a valid Continent"),
+    ("inputs.aliases", DATA / "country_aliases.tsv", lambda t: t + "Kosovo\tXKX\n",
+     "stage consolidate failed: {path} line {n}: alias 'Kosovo' points to unknown code 'XKX'"),
     ("inputs.indicators", E2E / "indicators.csv", lambda t: t.replace(",english_pct", ""),
      "stage analyze failed: indicators {path}: no english_pct column"),
     ("inputs.indicators", E2E / "indicators.csv", lambda t: t + "USA,65280,High income,2.2\n",
@@ -213,8 +219,8 @@ def test_missing_registry_file_fails_every_stage_that_reads_it(tmp_path, capsys,
      lambda t: t + "XKX,abc,Upper middle income,2.0,2.0,5,1800000,Europe\n",
      "stage analyze failed: indicators {path} line {n}: gdp_per_capita: "
      "could not convert string to float: 'abc'"),
-], ids=["kb", "registry", "aliases", "indicators", "indicators short row",
-        "indicators non-number"])
+], ids=["kb", "registry", "aliases", "registry continent", "alias code", "indicators",
+        "indicators short row", "indicators non-number"])
 def test_malformed_table_names_its_file(tmp_path, capsys, key, table, edit, error):
     inputs = tmp_path / "inputs"
     shutil.copytree(E2E, inputs)
@@ -246,18 +252,70 @@ def _many_dfo_rows(data):
      "stage analyze failed: indicators {path} line {n}", 4),
     ("inputs.dfo", E2E / "dfo.csv", _many_dfo_rows,
      "input error: unreadable dfo file line {n}", 3),
-], ids=["kb", "gazetteer", "registry", "aliases", "indicators", "source csv"])
+    ("extract.replay", E2E / "replay.jsonl", None,
+     "stage extract failed: replay.jsonl line {n}", 4),
+    (None, E2E / "config.ini", None, "config error: {path} line {n}", 2),
+    ("labels", E2E / "labels.csv", None, "input error: labels {path} line {n}", 3),
+], ids=["kb", "gazetteer", "registry", "aliases", "indicators", "source csv", "replay",
+        "config", "labels"])
 def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, key, table,
                                                          grow, error, code):
+    """Each input named by ``key``: an INI key, the config file itself
+    (None), or ``report``'s labels."""
     inputs = tmp_path / "inputs"
     shutil.copytree(E2E, inputs)
     path = inputs / table.name
+    if key not in (None, "labels"):
+        _set_ini(inputs / "config.ini", key, table.name)
     data = (grow or bytes)(table.read_bytes()) + b"Kerala \xff\n"
     path.write_bytes(data)
-    _set_ini(inputs / "config.ini", key, table.name)
-    assert run_cli("run", "--config", inputs / "config.ini", "--out", tmp_path / "run") == code
+    argv = ["run", "--config", inputs / "config.ini", "--out", tmp_path / "run"]
+    if key == "labels":
+        assert run_cli(*argv) == 0
+        argv = ["report", "--out", tmp_path / "run", "--labels", path]
+    capsys.readouterr()
+    assert run_cli(*argv) == code
     assert capsys.readouterr().err == error.format(path=path.resolve(), n=data.count(b"\n")) + (
         ": 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n")
+
+
+# Each input but the corpus: the INI key that names it (None for the config
+# file itself, "labels" for report's labels) and its file.
+BOM_INPUTS = {
+    "floodlist": ("inputs.floodlist", E2E / "floodlist.csv"),
+    "emdat": ("inputs.emdat", E2E / "emdat.csv"),
+    "dfo": ("inputs.dfo", E2E / "dfo.csv"),
+    "indicators": ("inputs.indicators", E2E / "indicators.csv"),
+    "registry": ("inputs.registry", DATA / "country_registry.tsv"),
+    "aliases": ("inputs.aliases", DATA / "country_aliases.tsv"),
+    "kb": ("extract.kb", DATA / "kb.tsv"),
+    "gazetteer": ("extract.gazetteer", DATA / "gazetteer.tsv"),
+    "replay": ("extract.replay", E2E / "replay.jsonl"),
+    "config": (None, E2E / "config.ini"),
+    "labels": ("labels", E2E / "labels.csv"),
+}
+
+
+@pytest.mark.parametrize("key, table", BOM_INPUTS.values(), ids=BOM_INPUTS)
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys, key, table):
+    """An input that starts with a UTF-8 byte-order mark, as spreadsheet
+    exports write it, reads as it does without one: the run writes the same
+    artifacts, and report prints the same lines."""
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        inputs = tmp_path / f"inputs{len(bom)}"
+        shutil.copytree(E2E, inputs)
+        if key not in (None, "labels"):
+            _set_ini(inputs / "config.ini", key, table.name)
+        (inputs / table.name).write_bytes(bom + table.read_bytes())
+        out = tmp_path / f"run{len(bom)}"
+        assert run_cli("run", "--config", inputs / "config.ini", "--out", out) == 0
+        assert run_cli("report", "--out", out, "--labels", inputs / "labels.csv") == 0
+        artifacts = _snapshot(out)
+        del artifacts["manifest.json"]  # holds the inputs' digests
+        outputs.append((capsys.readouterr().out, artifacts))
+    assert "precision: 7/8" in outputs[0][0] and outputs[0][1]["matches.jsonl"]
+    assert outputs[1] == outputs[0]
 
 
 def _flip_middle_byte(data):
@@ -368,8 +426,10 @@ def _edit_row(path, n, edit):
      "fatalities: expected integer or null, got string"),
     ("events.jsonl", "match", lambda row: row.update(country="XXX"),
      "country: unknown country 'XXX'"),
+    ("events.jsonl", "match", lambda row: row.update(start_date="20160301"),
+     "start_date: Invalid isoformat string: '20160301'"),
 ], ids=["missing key", "extra key", "string for int", "bool for int", "unknown enum value",
-        "nested field", "string for int or null", "unknown country"])
+        "nested field", "string for int or null", "unknown country", "basic-format date"])
 def test_bad_artifact_row_names_its_artifact_line_and_field(finished_run, capsys, artifact,
                                                             reader, edit, error):
     """A single stage, and a resumed run, fail on the row in one line."""

@@ -1,10 +1,12 @@
+import codecs
+import io
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from coverage_auditor.countries import (Continent, CountryRegistry,
-                                        default_registry, normalize_name)
+from coverage_auditor.countries import (Continent, CountryRegistry, _read_tsv,
+                                        default_registry, normalize_name, text_lines)
 
 
 def _bundled(filename: str) -> Path:
@@ -107,3 +109,19 @@ def test_load_rejects_a_display_name_that_normalizes_to_nothing(tmp_path):
     aliases.write_text("")
     with pytest.raises(ValueError, match="display name '---'"):
         CountryRegistry.load(reg, aliases)
+
+
+def test_text_lines_drop_a_byte_order_mark_from_the_first_line_only():
+    data = codecs.BOM_UTF8 + b"a\r\n" + codecs.BOM_UTF8 + b"b\rc\n"
+    assert list(text_lines(io.BytesIO(data), "t")) == ["a\n", "\ufeffb\n", "c\n"]
+
+
+@pytest.mark.parametrize("table, width", [("country_registry.tsv", 4),
+                                          ("country_aliases.tsv", 2), ("kb.tsv", 3),
+                                          ("gazetteer.tsv", 1)])
+def test_a_byte_order_mark_is_no_row_of_a_table(tmp_path, table, width):
+    """Each bundled table starts with a ``#`` comment, which stays one
+    behind a byte-order mark."""
+    path = tmp_path / table
+    path.write_bytes(codecs.BOM_UTF8 + _bundled(table).read_bytes())
+    assert list(_read_tsv(path, width)) == list(_read_tsv(_bundled(table), width))

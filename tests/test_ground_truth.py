@@ -101,6 +101,19 @@ def test_padded_header_names_are_accepted():
     assert [(r.line_no, r.reason) for r in old.rejects] == [(2, "'country'")]
 
 
+def test_a_date_is_exactly_yyyy_mm_dd():
+    """The other ISO forms that ``date.fromisoformat`` reads on Python 3.11,
+    but not on 3.10, are rejects on both, for the reason 3.10 gives."""
+    csv_text = ("country,began,ended,dead,displaced,id\n"
+                "Angola,20160301,2016-03-10,14,9000,4321\n"
+                "Angola,2016-03-01,2016-W10-4,14,9000,4322\n").encode()
+    result = parse_source_records(io.BytesIO(csv_text), Source.DFO)
+    assert result.records == []
+    assert [(r.line_no, r.reason) for r in result.rejects] == [
+        (2, "Invalid isoformat string: '20160301'"),
+        (3, "Invalid isoformat string: '2016-W10-4'")]
+
+
 # Generated source files: each field draws mostly from values that parse
 # (some need quoting: commas, newlines) and otherwise from values that fail
 # (bad dates and counts, negative counts, empty ids); rows may be short,

@@ -428,18 +428,20 @@ def _two_streams(data):
     ("dump.xml", lambda data: b"\xef\xbb\xbf" + data, MEDIAWIKI_XML.encode()),
     ("corpus.jsonl.gz", gzip.compress, (E2E / "corpus.jsonl").read_bytes()),
     ("corpus.jsonl.bz2", bz2.compress, (E2E / "corpus.jsonl").read_bytes()),
-], ids=["xml-bz2", "xml-bz2-two-streams", "xml-bom", "jsonl-gz", "jsonl-bz2"])
+    ("corpus.jsonl", lambda data: b"\xef\xbb\xbf" + data,
+     (E2E / "corpus.jsonl").read_bytes()),
+], ids=["xml-bz2", "xml-bz2-two-streams", "xml-bom", "jsonl-gz", "jsonl-bz2", "jsonl-bom"])
 def test_corpus_format_is_read_from_the_corpus(tmp_path, name, pack, plain):
-    """A dump however named, in one bz2 stream or two, with a byte-order
-    mark, or a compressed JSONL corpus scans as its plain, uncompressed
-    form does."""
-    candidates = []
+    """A dump however named, in one bz2 stream or two, a dump or JSONL
+    corpus with a byte-order mark, or a compressed JSONL corpus scans as its
+    plain, uncompressed form does: the same candidates and counts."""
+    scans = []
     for corpus, data in ((tmp_path / "plain", plain), (tmp_path / name, pack(plain))):
         corpus.write_bytes(data)
         out = tmp_path / f"run-{corpus.name}"
-        run_pipeline(PipelineConfig(corpus=corpus), out, stages=["scan"])
-        candidates.append((out / ARTIFACTS["scan"]).read_bytes())
-    assert candidates[0] and candidates[1] == candidates[0]
+        manifest = run_pipeline(PipelineConfig(corpus=corpus), out, stages=["scan"])
+        scans.append(((out / ARTIFACTS["scan"]).read_bytes(), manifest["stages"][0]["counts"]))
+    assert scans[0][0] and scans[1] == scans[0]
 
 
 @pytest.mark.parametrize("name, pack", [("corpus.jsonl", bytes),

@@ -126,12 +126,15 @@ def test_unset_required_input_names_its_setting_and_flag(tmp_path, capsys, stage
 
 
 CONFIG, MISSING = str(E2E / "config.ini"), str(E2E / "missing")
+NOT_UTF8 = str(FIXTURES / "not_utf8.ini")  # ends in "0.5\xff"
 AXES = next(s.choices for s in SETTINGS if s.field == "axes")
 
 
 # Each config error: the command line that makes it, and its message.
 CONFIG_ERRORS = {
     "unreadable config": (["run", "--config", MISSING], f"cannot read config {MISSING}: "),
+    "config not utf-8": (["run", "--config", NOT_UTF8], f"{NOT_UTF8} line 2: 'utf-8' codec "
+                         "can't decode byte 0xff in position 15: invalid start byte"),
     "unknown scorer": (["scan", "--config", CONFIG, "--scorer", "foo"],
                        "unknown scorer 'foo'"),
     "scorer not a number": (["scan", "--config", CONFIG, "--scorer", "constant:x"],
