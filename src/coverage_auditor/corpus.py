@@ -26,10 +26,10 @@ import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .dates import distinct_years
-from .rows import _JSON, json_row
+from .rows import _typed, json_row
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def sniff_format(stream: BinaryIO) -> str:
     return "xml" if stream.peek(64).lstrip().startswith(b"<") else "jsonl"
 
 
-def ingest_articles(stream: BinaryIO | TextIO, format: str,
+def ingest_articles(stream: BinaryIO, format: str,
                     rejects: list[ArticleReject],
                     redirects: list[str] | None = None) -> Iterator[Article]:
     """Stream articles from a JSONL file or MediaWiki XML dump.
@@ -107,11 +107,10 @@ def ingest_articles(stream: BinaryIO | TextIO, format: str,
 def _ingest_jsonl(stream, rejects) -> Iterator[Article]:
     for line_no, raw in enumerate(stream, start=1):
         try:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")  # a line that is not UTF-8 is a reject
-            if not raw.strip():
+            line = raw.decode("utf-8")  # a line that is not UTF-8 is a reject
+            if not line.strip():
                 continue
-            article = _jsonl_article(json.loads(raw))
+            article = _jsonl_article(json.loads(line))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             rejects.append(ArticleReject(f"line {line_no}", str(exc)))
             continue
@@ -119,15 +118,6 @@ def _ingest_jsonl(stream, rejects) -> Iterator[Article]:
 
 
 _ABSENT = object()  # a missing key's value, which no JSON type matches
-
-
-def _typed(name: str, value, *kinds: type):
-    """``value`` if its type is one of ``kinds`` (exactly, so a bool is no
-    integer); else a ValueError naming the field."""
-    if type(value) not in kinds:
-        raise ValueError(f"{name}: expected {' or '.join(map(_JSON.get, kinds))}, "
-                         f"got {_JSON.get(type(value), 'nothing')}")
-    return value
 
 
 def _jsonl_article(obj) -> Article:

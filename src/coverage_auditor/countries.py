@@ -121,15 +121,20 @@ def text_lines(fh: BinaryIO, name: str, error: type[Exception] = ValueError) -> 
     """The lines of the binary input file ``fh``, decoded from UTF-8 one at a
     time: a byte-order mark is dropped from the first, and ``\\r\\n`` and a
     lone ``\\r`` are read as ``\\n``, as text mode reads them. A line that is
-    not UTF-8 raises ``error("<name> line N: <problem>")``. Every input but
-    the corpus is read through here."""
+    not UTF-8 raises ``error("<name> line N: <problem>")``, N counting the
+    lines yielded, as the readers count them. Every input but the corpus is
+    read through here."""
+    extra = 0  # the lines that a lone \r ended
     for n, raw in enumerate(fh, start=1):
         try:
             line = raw.decode("utf-8-sig" if n == 1 else "utf-8")
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a lone \r before the byte ends a line
+            n += extra + exc.object[:exc.start].count(b"\r")
             raise error(f"{name} line {n}: {exc}") from None
         if "\r" in line:
-            yield from io.StringIO(line, newline=None)
+            lines = io.StringIO(line, newline=None).readlines()
+            extra += len(lines) - 1
+            yield from lines
         else:
             yield line
 

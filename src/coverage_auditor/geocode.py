@@ -21,12 +21,13 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import NoneType
 from typing import Callable, Iterable, Protocol
 
 from .countries import (CountryCode, CountryRegistry, _default_data_path,
                         _read_tsv, default_registry, normalize_name)
 from .places import PhraseMatcher, PlaceMention, ResolverStage
-from .rows import read_jsonl
+from .rows import _typed, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -88,17 +89,28 @@ def kb_lookup(key: str, kb: KnowledgeBase) -> CountryCode | None:
 
 # --- remote geocoding --------------------------------------------------------
 
+def _replay_row(obj) -> tuple[str, list[GeocoderResult]]:
+    """A replay row's normalized query and its results, each field checked;
+    a result's ``iso3`` may be missing (null), and its ``importance`` is
+    whatever ``float()`` reads (0.0 if missing)."""
+    query = _typed("query", obj["query"], str)
+    results = []
+    for i, r in enumerate(_typed("results", obj["results"], list)):
+        at = f"results[{i}]"
+        r = _typed(at, r, dict)
+        results.append(GeocoderResult(_typed(f"{at}.display_name", r["display_name"], str),
+                                      _typed(f"{at}.iso3", r.get("iso3"), str, NoneType),
+                                      float(r.get("importance", 0.0))))
+    return normalize_name(query), results
+
+
 class ReplayGeocoderClient:
     """Serves recorded responses from a JSONL file; unknown queries get []."""
 
     max_inflight = 1
 
     def __init__(self, path: Path):
-        self._responses: dict[str, list[GeocoderResult]] = dict(read_jsonl(
-            path, lambda obj: (normalize_name(obj["query"]), [
-                GeocoderResult(r["display_name"], r.get("iso3"),
-                               float(r.get("importance", 0.0)))
-                for r in obj["results"]])))
+        self._responses: dict[str, list[GeocoderResult]] = dict(read_jsonl(path, _replay_row))
 
     def geocode(self, query: str) -> list[GeocoderResult]:
         return self._responses.get(normalize_name(query), [])
@@ -262,7 +274,9 @@ class GeoCache:
             if end < len(data):  # a run killed mid-append: cut its torn row off
                 log.warning("geocache %s: dropping torn last line %r", path, data[end:])
                 os.truncate(path, end)
-            rows = read_jsonl(path, lambda obj: (obj["stage"], obj["query"], obj["result"]))
+            rows = read_jsonl(path, lambda obj: (
+                _typed("stage", obj["stage"], str), _typed("query", obj["query"], str),
+                _typed("result", obj["result"], str, NoneType)))
             self.answers = {query: iso3 for stage, query, iso3 in rows
                             if stage == self._STAGE}
 

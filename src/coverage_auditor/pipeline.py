@@ -516,7 +516,7 @@ def stage_analyze(cfg: PipelineConfig, out_dir: Path, held: dict) -> tuple[dict,
         reports = stratify(events, matched_ids, indicators, axis,
                            min_country_events=cfg.min_country_events,
                            fatalities_unknown=cfg.fatalities_unknown)
-        axes_out[axis] = [r.to_json_dict() for r in reports]
+        axes_out[axis] = [vars(r) for r in reports]  # its fields, named as its keys
         with _replacing(out_dir / f"analysis_{axis}.csv", newline="") as fh:
             writer = csv.writer(fh)  # None is an empty cell
             writer.writerow(StratumReport.json_keys)

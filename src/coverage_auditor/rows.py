@@ -1,17 +1,16 @@
-"""Artifact rows: ``json_row`` builds a row dataclass's ``to_json_dict()``,
-``to_json_line()``, ``from_json_dict(row, registry=None)`` and ``json_keys``
-from its fields, as ``dataclass`` builds ``__init__``. Both writers are
-generated from one table of annotations: an Enum is written as its value, a
-date in ISO format, a ``CountryCode`` as its iso3 and a nested row as its
-object. ``to_json_dict`` is one function as fast as a dict literal.
-``to_json_line`` writes the row as text, one %-template per row type with its
-keys sorted and nested rows inlined, byte for byte the line that
-``json.dumps(row.to_json_dict(), sort_keys=True, separators=(",", ":"),
-ensure_ascii=False)`` would write; it is generated on its first call, so that
-importing a row type stays cheap. The decoder checks each value against its
-field's annotation (a bool is not an int) and raises ``RowError`` naming the
-key (``date.year_source`` if nested). ``read_jsonl`` reads a JSON-lines file
-and names the line of any bad row.
+"""Artifact rows: ``json_row`` builds a row dataclass's ``to_json_line()``,
+``from_json_dict(row, registry=None)`` and ``json_keys`` from its fields, as
+``dataclass`` builds ``__init__``. ``to_json_line`` is a row's one writer: it
+writes the row as text, one %-template per row type with its keys sorted and
+nested rows inlined, generated from a table of annotations (an Enum is
+written as its value, a date in ISO format, a ``CountryCode`` as its iso3 and
+a nested row as its object), byte for byte the line that ``json.dumps(...,
+sort_keys=True, separators=(",", ":"), ensure_ascii=False)`` would write for
+the row's object. It is generated on its first call, so that importing a row
+type stays cheap. The decoder checks each value against its field's
+annotation (a bool is not an int) and raises ``RowError`` naming the key
+(``date.year_source`` if nested). ``read_jsonl`` reads a JSON-lines file and
+names the line of any bad row.
 """
 
 from __future__ import annotations
@@ -34,6 +33,16 @@ _JSON = {str: "string", int: "integer", float: "number", bool: "boolean",
          types.NoneType: "null", list: "array", dict: "object"}
 
 
+def _typed(name: str, value, *kinds: type):
+    """``value`` if its type is one of ``kinds`` (exactly, so a bool is no
+    integer); else a ValueError naming the field (a value of no JSON type
+    is "nothing")."""
+    if type(value) not in kinds:
+        raise ValueError(f"{name}: expected {' or '.join(map(_JSON.get, kinds))}, "
+                         f"got {_JSON.get(type(value), 'nothing')}")
+    return value
+
+
 class RowError(ValueError):
     """A JSON row that does not fit its row type."""
 
@@ -44,15 +53,15 @@ def _float(value) -> str:
             "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
 
 
-# A leaf annotation's writers: the expression of the JSON value of a value
-# ``{}``, and the %-format and expression that write that value as text.
+# A leaf annotation's %-format, and the expression that fills it to write a
+# value ``{}`` as JSON text.
 _LEAVES = {
-    str: ("{}", "%s", "_str({})"),
-    int: ("{}", "%s", "repr({})"),
-    float: ("{}", "%s", "_float({})"),
-    bool: ("{}", "%s", "('true' if {} else 'false')"),
-    date: ("{}.isoformat()", '"%s"', "{}.isoformat()"),
-    CountryCode: ("{}.iso3", "%s", "_str({}.iso3)"),
+    str: ("%s", "_str({})"),
+    int: ("%s", "repr({})"),
+    float: ("%s", "_float({})"),
+    bool: ("%s", "('true' if {} else 'false')"),
+    date: ('"%s"', "{}.isoformat()"),
+    CountryCode: ("%s", "_str({}.iso3)"),
 }
 
 
@@ -61,44 +70,39 @@ def _filled(fmt: str, args: list[str]) -> str:
     return args[0] if fmt == "%s" else f"{fmt!r} % ({', '.join(args)},)"
 
 
-def _writers(tp, value: str, depth: int = 0) -> tuple[str, str, list[str]]:
+def _writers(tp, value: str, depth: int = 0) -> tuple[str, list[str]]:
     """How the value of expression ``value``, of annotation ``tp``, is
-    written: the expression that puts it in the dict of ``to_json_dict`` (a
-    tuple as a list), and a %-format and the expressions that fill it to
-    write the value as JSON text. ``depth`` names loop variables."""
+    written as JSON text (a tuple as an array): a %-format and the
+    expressions that fill it. ``depth`` names loop variables."""
     if type(tp) is types.UnionType:  # X | None
-        put, fmt, args = _writers(typing.get_args(tp)[0], value, depth)
-        return (put if put == value else f"(None if {value} is None else {put})", "%s",
-                [f"('null' if {value} is None else {_filled(fmt, args)})"])
+        fmt, args = _writers(typing.get_args(tp)[0], value, depth)
+        return "%s", [f"('null' if {value} is None else {_filled(fmt, args)})"]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     item, key = f"_v{depth}", f"_k{depth}"
     if origin is list:
-        put, fmt, texts = _writers(args[0], item, depth + 1)
-        return (value if put == item else f"[{put} for {item} in {value}]", "[%s]",
-                [f"','.join([{_filled(fmt, texts)} for {item} in {value}])"])
+        fmt, texts = _writers(args[0], item, depth + 1)
+        return "[%s]", [f"','.join([{_filled(fmt, texts)} for {item} in {value}])"]
     if origin is tuple:
-        parts = [_writers(arg, f"{value}[{i}]", depth)[1:] for i, arg in enumerate(args)]
-        return (f"list({value})", "[%s]" % ",".join(fmt for fmt, _ in parts),
+        parts = [_writers(arg, f"{value}[{i}]", depth) for i, arg in enumerate(args)]
+        return ("[%s]" % ",".join(fmt for fmt, _ in parts),
                 [arg for _, part in parts for arg in part])
     if origin is dict:  # keys sorted, as json sorts them
-        put, fmt, texts = _writers(args[1], item, depth + 1)
+        fmt, texts = _writers(args[1], item, depth + 1)
         text = _filled("%s:" + fmt, [f"_str({key})", *texts])
-        return (value if put == item else
-                f"{{{key}: {put} for {key}, {item} in {value}.items()}}", "{%s}",
-                [f"','.join([{text} for {key}, {item} in sorted({value}.items())])"])
+        return "{%s}", [f"','.join([{text} for {key}, {item} in sorted({value}.items())])"]
     if hasattr(tp, "from_json_dict"):
-        return (f"{value}.to_json_dict()", *_object(tp, value, depth))
+        return _object(tp, value, depth)
     if isinstance(tp, EnumMeta):  # a str Enum member's text is its value
-        return f"{value}.value", "%s", [f"_str({value})"]
-    put, fmt, text = _LEAVES[tp]
-    return put.format(value), fmt, [text.format(value)]
+        return "%s", [f"_str({value})"]
+    fmt, text = _LEAVES[tp]
+    return fmt, [text.format(value)]
 
 
 def _object(cls, value: str, depth: int) -> tuple[str, list[str]]:
     """The %-format and expressions writing row ``value`` of type ``cls``."""
     fmts, args = [], []
     for key, tp, name in sorted(cls._json_fields):
-        _, fmt, texts = _writers(tp, f"{value}.{name}", depth)
+        fmt, texts = _writers(tp, f"{value}.{name}", depth)
         fmts.append(_str(key).replace("%", "%%") + ":" + fmt)
         args += texts
     return "{%s}" % ",".join(fmts), args
@@ -171,14 +175,9 @@ def json_row(keys: dict[str, str] | None = None):
         # (key, annotation, field name)
         cls._json_fields = tuple(
             (key, hints[name], name) for name, key in zip(names, cls.json_keys))
-        namespace: dict = {}
-        exec("def to_json_dict(self):\n    return {%s}\n" % ", ".join(
-            f"{key!r}: {_writers(tp, 'self.' + name)[0]}"
-            for key, tp, name in cls._json_fields), namespace)
-        cls.to_json_dict = namespace["to_json_dict"]
 
         def to_json_line(self):
-            """This row as the line ``json`` writes for ``self.to_json_dict()``."""
+            """This row as one line of JSON, its keys sorted."""
             write = _line_writer(cls)
             if cls.__dict__["to_json_line"] is to_json_line:  # unless patched meanwhile
                 cls.to_json_line = write

@@ -23,16 +23,21 @@ Deliberately naive, but obviously correct, which is the point:
   citation of every candidate;
 - date finding tries the full date pattern at every position of the text;
 - matching tests a candidate against every event of its country, found by
-  scanning the plain event list rather than the index under test.
+  scanning the plain event list rather than the index under test;
+- a row's artifact line is ``json.dumps`` of the object its values make,
+  each value written by its Python type, where the row's own writer is
+  generated from its fields' annotations.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import re
 from datetime import date, timedelta
+from enum import Enum
 from typing import BinaryIO
 
 from coverage_auditor.corpus import (Article, CandidateSentence, Citation,
@@ -456,3 +461,29 @@ def oracle_match_ym(candidate: ResolvedCandidate,
             matches.append(MatchResult.from_candidate(event.event_id, candidate,
                                                       Strategy.YM))
     return matches
+
+
+def oracle_json_line(row) -> str:
+    """The line ``row`` is written as in its artifact."""
+    return json.dumps(_json_value(row), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+
+
+def _json_value(value):
+    """``value`` as ``json`` writes it: a country as its iso3, a row as the
+    object of its ``json_keys``, an Enum as its value, a date in ISO format
+    and a tuple as a list."""
+    if isinstance(value, CountryCode):
+        return value.iso3
+    if dataclasses.is_dataclass(value):
+        return {key: _json_value(getattr(value, f.name))
+                for key, f in zip(type(value).json_keys, dataclasses.fields(value))}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value

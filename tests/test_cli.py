@@ -1,6 +1,7 @@
 import bz2
 import codecs
 import configparser
+import csv
 import gzip
 import hashlib
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from coverage_auditor.analysis import StratumReport
 from coverage_auditor.cli import main
 from coverage_auditor.geocode import geocache_path
 from coverage_auditor.pipeline import SETTINGS, STAGE_TABLE, STAGES
@@ -66,12 +68,34 @@ GOLDEN = {
     "matches.jsonl": "33d508f167379ff1151c3aa778c7db0817efb9f8504899616a2295ccb75c3ba3",
     "analysis.json": "108f8ce7748afed946ad00a0df6eb539500d510780fda1de4df8597ad918e269",
     "gt_rejects.jsonl": "2a3e96060d52c5ac4044847fa46fd3f3a539162f92c75fa170b6b31a9b0af577",
+    "analysis_continent.csv": "10701f385043df426bf9fa05d9a63e1769488e6c108054cd3f6d4a2a4d3f4f84",
+    "analysis_country.csv": "a59779e8db9eb719b2e37ec32b97e011cf0a5cac62b1e3f262c57f8f8d1c37d5",
+    "analysis_english.csv": "479e8890a9a7bb94f4c4d48545212a88e2e2b9be9b54145c8c03b7c8e6c91799",
+    "analysis_fatalities.csv": "b4e35b6a1acde8ae20d241641ed6a66f631d67acee5b2dae8b2180ba991e5bbb",
+    "analysis_gdp.csv": "1e8c4c3b9bf3294cdd7386dd22f2798299ea5a1d913e5928428ceadf6b9cbee6",
+    "analysis_gni.csv": "a587ea777832413a017a0214044ddb388262e55f36bc9d79b8e5b6e432793d7e",
+    "analysis_month.csv": "6d82c81908f4ddeeacf8f6fd05561caad236d10926793353c39ac8462d576bca",
+    "analysis_population.csv": "fb38d643e304b3a104a7248fc553e2192191065fb451e7d482495d7aaad1f8c7",
+    "analysis_vuln.csv": "3a68bf34db423b6c05df64dd3cb4d69b736ceb3db510094c85a5fc3af5faa9ef",
 }
 
 
 def test_fresh_run_writes_the_golden_artifacts(finished_run):
     assert {name: hashlib.sha256((finished_run / name).read_bytes()).hexdigest()
             for name in GOLDEN} == GOLDEN
+
+
+def test_each_analysis_csv_row_is_its_analysis_json_row(finished_run):
+    axes = json.loads((finished_run / "analysis.json").read_text())["axes"]
+    assert sorted(path.name for path in finished_run.glob("analysis_*.csv")) == sorted(
+        f"analysis_{axis}.csv" for axis in axes)
+    for axis, want in axes.items():
+        with open(finished_run / f"analysis_{axis}.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            got = list(reader)
+        assert reader.fieldnames == list(StratumReport.json_keys), axis
+        assert got == [{key: "" if value is None else str(value) for key, value in row.items()}
+                       for row in want], axis
 
 
 def test_replay_run_writes_no_geocache(finished_run, tmp_path, monkeypatch):

@@ -63,12 +63,12 @@ def test_segmentation_empty_and_single():
 # --- ingestion ----------------------------------------------------------------
 
 def test_ingest_jsonl_rejects_malformed_lines():
-    stream = io.StringIO(
-        '{"article_id": "a", "title": "A", "paragraphs": ["One."]}\n'
-        'not json at all\n'
-        '{"article_id": "b", "paragraphs": ["missing title"]}\n'
-        '\n'
-        '{"article_id": "c", "title": "C", "paragraphs": ["Two."]}\n')
+    stream = io.BytesIO(
+        b'{"article_id": "a", "title": "A", "paragraphs": ["One."]}\n'
+        b'not json at all\n'
+        b'{"article_id": "b", "paragraphs": ["missing title"]}\n'
+        b'\n'
+        b'{"article_id": "c", "title": "C", "paragraphs": ["Two."]}\n')
     rejects = []
     articles = list(ingest_articles(stream, "jsonl", rejects))
     assert [a.article_id for a in articles] == ["a", "c"]
@@ -109,7 +109,7 @@ def test_malformed_jsonl_article_is_a_reject_of_its_line(tmp_path, line, reason)
     good = (E2E / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     text = good[0] + line + "\n" + good[1]
     rejects = []
-    articles = list(ingest_articles(io.StringIO(text), "jsonl", rejects))
+    articles = list(ingest_articles(io.BytesIO(text.encode()), "jsonl", rejects))
     assert [a.article_id for a in articles] == [
         json.loads(row)["article_id"] for row in good[:2]]
     assert [(r.locator, r.reason) for r in rejects] == [("line 2", reason)]
@@ -302,9 +302,8 @@ def articles(draw):
 @example(article=make_article("Kyushu", ["Rain. İnundation followed."]), substring=False)
 @example(article=make_article("ınundation", ["Rain fell."]), substring=True)
 def test_gated_extraction_matches_ungated_oracle(article, substring):
-    got = [c.to_json_dict() for c in extract_candidates(article, substring)]
-    assert got == [c.to_json_dict()
-                   for c in oracle_extract_candidates(article, substring)]
+    assert (extract_candidates(article, substring)
+            == oracle_extract_candidates(article, substring))
 
 
 def test_gate_letters_match_only_their_lowercase():
@@ -483,8 +482,7 @@ def test_xml_ingest_matches_the_oracle(pages, substring):
         want = Article(art.article_id, title, *oracle_strip_wikitext(wikitext))
         candidates = extract_candidates(art, substring)
         assert not any("#redirect" in c.text.lower() for c in candidates)
-        assert ([c.to_json_dict() for c in candidates]
-                == [c.to_json_dict() for c in oracle_extract_candidates(want, substring)])
+        assert candidates == oracle_extract_candidates(want, substring)
 
 
 @pytest.mark.parametrize("wikitext, assembled", [

@@ -116,6 +116,20 @@ def test_text_lines_drop_a_byte_order_mark_from_the_first_line_only():
     assert list(text_lines(io.BytesIO(data), "t")) == ["a\n", "\ufeffb\n", "c\n"]
 
 
+@pytest.mark.parametrize("data", [
+    b"Kyushu\tJPN\ttrue\rKerala\tIND\ttrue\r\xff\n",
+    codecs.BOM_UTF8 + b"Kyushu\tJPN\ttrue\rKerala\tIND\ttrue\r\xff\n",
+    b"Kyushu\tJPN\ttrue\r\nKerala\tIND\ttrue\n\xff\n",
+], ids=["lone cr", "lone cr after a mark", "crlf"])
+def test_a_line_that_is_not_utf8_has_the_number_its_reader_gives_it(tmp_path, data):
+    """A lone ``\\r`` ends a line for the reader, so it does for the error."""
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        _read_tsv(path, 3)
+    assert str(exc.value).startswith(f"{path} line 3: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("table, width", [("country_registry.tsv", 4),
                                           ("country_aliases.tsv", 2), ("kb.tsv", 3),
                                           ("gazetteer.tsv", 1)])

@@ -16,6 +16,7 @@ from coverage_auditor.geocode import (AliasScanInferencer, CascadeResolver,
                                       ReplayGeocoderClient, kb_lookup,
                                       remote_geocode)
 from coverage_auditor.places import PlaceMention, ResolverStage
+from coverage_auditor.rows import RowError
 from oracles import oracle_infer_country
 
 
@@ -137,6 +138,38 @@ def test_replay_client_unknown_query_is_empty(tmp_path):
     client = ReplayGeocoderClient(path)
     assert client.geocode("coon valley")[0].iso3 == "USA"
     assert client.geocode("nowhere") == []
+
+
+# Each row a reader refuses, and the problem its error names.
+BAD_ROWS = {
+    "replay query": (ReplayGeocoderClient, {"query": 5, "results": []},
+                     "query: expected string, got integer"),
+    "replay results": (ReplayGeocoderClient, {"query": "x", "results": {}},
+                       "results: expected array, got object"),
+    "replay result": (ReplayGeocoderClient, {"query": "x", "results": ["Kyushu"]},
+                      "results[0]: expected object, got string"),
+    "replay display_name": (ReplayGeocoderClient,
+                            {"query": "x", "results": [{"display_name": None}]},
+                            "results[0].display_name: expected string, got null"),
+    "replay iso3": (ReplayGeocoderClient,
+                    {"query": "x", "results": [{"display_name": "X", "iso3": 392}]},
+                    "results[0].iso3: expected string or null, got integer"),
+    "geocache stage": (GeoCache, {"query": "x", "result": None, "stage": True},
+                       "stage: expected string, got boolean"),
+    "geocache query": (GeoCache, {"query": None, "result": None, "stage": "REMOTE_GEOCODER"},
+                       "query: expected string, got null"),
+    "geocache result": (GeoCache, {"query": "x", "result": 7, "stage": "REMOTE_GEOCODER"},
+                        "result: expected string or null, got integer"),
+}
+
+
+@pytest.mark.parametrize("reader, row, problem", BAD_ROWS.values(), ids=BAD_ROWS)
+def test_replay_and_geocache_rows_are_checked_field_by_field(tmp_path, reader, row, problem):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(RowError) as exc:
+        reader(path)
+    assert str(exc.value) == f"rows.jsonl line 1: {problem}"
 
 
 # --- whole-text inference --------------------------------------------------------

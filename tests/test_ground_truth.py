@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import random
 import warnings
 from datetime import date, timedelta
@@ -287,8 +288,8 @@ def test_json_round_trip(registry):
                     affected="10000", disaster_type="Storm")
     (event,) = consolidate([a, b])
     from coverage_auditor.ground_truth import ConsolidatedEvent
-    clone = ConsolidatedEvent.from_json_dict(event.to_json_dict(), registry)
-    assert clone.to_json_dict() == event.to_json_dict()
+    line = event.to_json_line()
+    assert ConsolidatedEvent.from_json_dict(json.loads(line), registry) == event
 
 
 # --- randomized comparison against the brute-force oracle --------------------

@@ -166,12 +166,10 @@ def test_interval_search_matches_full_scan_oracle(registry, case, window_days):
     index = EventIndex(events)
     for k, (iso3, year, month, day) in enumerate(candidates):
         cand = make_candidate(registry, iso3, year, month, day, sentence_index=k)
-        assert ([m.to_json_dict() for m in match_all([cand], index, Strategy.YMD,
-                                                     window_days)]
-                == [m.to_json_dict() for m in oracle_match_ymd(cand, events, window_days)])
-        assert ([m.to_json_dict() for m in match_all([cand], index, Strategy.YM,
-                                                     window_days)]
-                == [m.to_json_dict() for m in oracle_match_ym(cand, events)])
+        assert (match_all([cand], index, Strategy.YMD, window_days)
+                == oracle_match_ymd(cand, events, window_days))
+        assert (match_all([cand], index, Strategy.YM, window_days)
+                == oracle_match_ym(cand, events))
 
 
 # --- YMD(window=0) is contained in YM, and equals it on day-less dates ----------

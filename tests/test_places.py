@@ -1,3 +1,4 @@
+import json
 from importlib import resources
 
 import pytest
@@ -125,7 +126,8 @@ def test_expand_dedupes_countries_and_dates(registry):
     rows = expand_candidates(make_candidate(), dates, places)
     assert len(rows) == 1
     assert rows[0].place_span == "KPK"  # first mention carries provenance
-    assert ResolvedCandidate.from_json_dict(rows[0].to_json_dict(), registry) == rows[0]
+    assert (ResolvedCandidate.from_json_dict(json.loads(rows[0].to_json_line()), registry)
+            == rows[0])
 
 
 def test_expand_empty_without_place_or_matchable_date(registry):
